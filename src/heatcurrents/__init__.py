@@ -34,7 +34,6 @@ from .extension import (
     central_brownian_marginal,
     cocycle,
     extended_bracket,
-    extended_sde_step,
     haar_sample,
     harmonic_projection,
     leibniz_check,
@@ -42,17 +41,7 @@ from .extension import (
     sample_extension,
 )
 from .fields import AlgebraField, OneFormField, exterior_derivative, field_bracket, field_killing
-from .lie import (
-    AlgebraElement,
-    GroupElement,
-    LieBasis,
-    bracket,
-    build_basis,
-    exp_batch,
-    exp_map,
-    killing_form,
-    log_batch,
-)
+from .lie import LieBasis, build_basis, exp_batch, log_batch
 from .rng import RNG_ALGORITHM, RngStream, diagnostic_stream, substream
 from .sde import (
     EnsembleHandle,

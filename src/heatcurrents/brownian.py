@@ -21,6 +21,7 @@ from .torus import SpectralBasis
 __all__ = [
     "CovarianceSpec",
     "AlgebraField",
+    "synthesize",
     "sample_increment",
     "covariance_kernel",
     "kernel_gram",
@@ -69,6 +70,16 @@ class CovarianceSpec:
         return self.lie.dim
 
 
+def synthesize(basis: SpectralBasis, amp: np.ndarray) -> np.ndarray:
+    """Karhunen-Loeve sum over the tabulated basis: sum_m amp[m] e_m(S).
+
+    amp has the modes on its leading axis, (n_modes, ...); the result is
+    (*grid.shape, ...).  This is the one place the basis table is
+    contracted.
+    """
+    return np.tensordot(basis.values, amp, axes=(0, 0))
+
+
 def sample_increment(spec: CovarianceSpec, dt: float, stream: RngStream) -> AlgebraField:
     """One centered Gaussian increment of the H-valued Brownian motion.
 
@@ -80,8 +91,7 @@ def sample_increment(spec: CovarianceSpec, dt: float, stream: RngStream) -> Alge
     w = spec.weights
     xi = stream.normal(size=(spec.basis.n_modes, spec.dim_g))
     amp = np.sqrt(dt * w)[:, np.newaxis] * xi
-    coeffs = np.tensordot(spec.basis.values, amp, axes=(0, 0))
-    return AlgebraField(coeffs=coeffs, lie=spec.lie)
+    return AlgebraField(coeffs=synthesize(spec.basis, amp), lie=spec.lie)
 
 
 def covariance_kernel(spec: CovarianceSpec, s: np.ndarray, s_prime: np.ndarray) -> float:

@@ -18,44 +18,50 @@ import numpy as np
 
 from .brownian import CovarianceSpec
 from .diagnostics import CHECK_NAMES, reports_to_json, run_check
-from .extension import EXTENSION_CENTRAL_STREAM, LatticeSpec, haar_sample
+from .extension import LatticeSpec, cocycle, sample_extension
 from .fields import AlgebraField
 from .lie import build_basis
 from .rng import substream
 from .sde import SdeConfig, sample_ensemble, sample_field
-from .storage import EnsembleManifest, write_ensemble
-from .torus import build_spectrum
+from .storage import EnsembleManifest, StorageError, write_atomic, write_ensemble
+from .torus import build_grid, build_spectrum
 
 __all__ = ["run_cli", "main"]
 
-_DEFAULTS = {
-    "dim": 1,
-    "group_n": 2,
-    "sobolev_k": 2,
-    "modes": 16,
-    "grid": 64,
-    "steps": 256,
-    "t_end": 1.0,
-    "samples": 1,
-    "seed": 0,
-    "stream_id": 0,
-    "workers": 1,
-    "lattice": None,
+# Configuration key -> (flag, type, default, help); `lattice` has no flag
+# and is set through --config only.
+_OPTIONS = {
+    "dim": ("--dim", int, 1, "torus dimension d"),
+    "group_n": ("--group-n", int, 2, "SU(n) rank parameter"),
+    "sobolev_k": ("--sobolev-k", int, 2, "Sobolev order k"),
+    "modes": ("--modes", int, 16, "per-axis frequency cutoff M_max"),
+    "grid": ("--grid", int, 64, "grid points per axis P"),
+    "steps": ("--steps", int, 256, "number of time steps"),
+    "t_end": ("--t-end", float, 1.0, "terminal time in (0, 1]"),
+    "samples": ("--samples", int, 1, "number of samples"),
+    "seed": ("--seed", int, 0, "root seed"),
+    "stream_id": ("--stream-id", int, 0, "RNG substream id (default 0)"),
+    "workers": ("--workers", int, 1, "worker threads (content is worker-independent)"),
+    "out": ("--out", str, None, "output path stem"),
+    "lattice": (None, None, None, None),
 }
 
+_FIELD_KEYS = ("dim", "group_n", "sobolev_k", "modes", "grid", "steps", "t_end")
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--dim", type=int, help="torus dimension d")
-    sub.add_argument("--group-n", type=int, dest="group_n", help="SU(n) rank parameter")
-    sub.add_argument("--sobolev-k", type=int, dest="sobolev_k", help="Sobolev order k")
-    sub.add_argument("--modes", type=int, help="per-axis frequency cutoff M_max")
-    sub.add_argument("--grid", type=int, help="grid points per axis P")
-    sub.add_argument("--steps", type=int, help="number of time steps")
-    sub.add_argument("--t-end", type=float, dest="t_end", help="terminal time in (0, 1]")
-    sub.add_argument("--samples", type=int, help="number of samples")
-    sub.add_argument("--seed", type=int, help="root seed")
-    sub.add_argument("--out", type=str, help="output path stem")
-    sub.add_argument("--config", type=str, help="JSON config file; flags override")
+# Subcommand -> (help, the configuration keys it reads); it accepts no others.
+_COMMAND_KEYS = {
+    "sample": ("draw one terminal field", _FIELD_KEYS + ("seed", "stream_id", "out")),
+    "ensemble": (
+        "draw an ensemble of terminal fields",
+        _FIELD_KEYS + ("samples", "seed", "workers", "out"),
+    ),
+    "verify": ("run diagnostics, emit JSON report", ("samples", "seed", "out")),
+    "cocycle": ("evaluate the cocycle on stored fields", ("group_n",)),
+    "extend": (
+        "sample the lifted measure (field, fiber)",
+        _FIELD_KEYS + ("samples", "seed", "stream_id", "out", "lattice"),
+    ),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -64,50 +70,41 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Heat-kernel measures on current groups over the torus",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p_sample = subs.add_parser("sample", help="draw one terminal field")
-    _add_common(p_sample)
-    p_sample.add_argument(
-        "--stream-id", type=int, dest="stream_id", help="RNG substream id (default 0)"
-    )
-
-    p_ens = subs.add_parser("ensemble", help="draw an ensemble of terminal fields")
-    _add_common(p_ens)
-    p_ens.add_argument(
-        "--workers", type=int, help="worker threads (content is worker-independent)"
-    )
-
-    p_verify = subs.add_parser("verify", help="run diagnostics, emit JSON report")
-    _add_common(p_verify)
-    p_verify.add_argument(
+    commands = {}
+    for command, (text, keys) in _COMMAND_KEYS.items():
+        sub = commands[command] = subs.add_parser(command, help=text)
+        for key in keys:
+            flag, kind, _, help_text = _OPTIONS[key]
+            if flag is not None:
+                sub.add_argument(flag, type=kind, dest=key, help=help_text)
+        sub.add_argument("--config", type=str, help="JSON config file; flags override")
+    commands["verify"].add_argument(
         "--check",
         action="append",
         choices=sorted(CHECK_NAMES),
         help="named check (repeatable; default: all)",
     )
-
-    p_coc = subs.add_parser("cocycle", help="evaluate the cocycle on stored fields")
-    _add_common(p_coc)
-    p_coc.add_argument("--eta", type=str, required=True, help=".npy coefficient field")
-    p_coc.add_argument("--eta1", type=str, required=True, help=".npy coefficient field")
-
-    p_ext = subs.add_parser("extend", help="sample the lifted measure (field, fiber)")
-    _add_common(p_ext)
-    p_ext.add_argument(
-        "--stream-id", type=int, dest="stream_id", help="RNG substream id (default 0)"
+    commands["cocycle"].add_argument(
+        "--eta", type=str, required=True, help=".npy coefficient field"
+    )
+    commands["cocycle"].add_argument(
+        "--eta1", type=str, required=True, help=".npy coefficient field"
     )
     return parser
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    cfg = dict(_DEFAULTS)
-    if getattr(args, "config", None):
+    keys = _COMMAND_KEYS[args.command][1]
+    cfg = {key: _OPTIONS[key][2] for key in keys}
+    if args.command == "verify":
+        cfg["samples"] = None  # each check runs at its own acceptance size
+    if args.config:
         raw = json.loads(Path(args.config).read_text())
-        unknown = set(raw) - set(_DEFAULTS) - {"out"}
+        unknown = set(raw) - set(keys)
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            raise ValueError(f"unknown config keys for {args.command}: {sorted(unknown)}")
         cfg.update(raw)
-    for key in list(_DEFAULTS) + ["out"]:
+    for key in keys:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
@@ -183,20 +180,17 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     names = args.check or sorted(CHECK_NAMES)
-    samples = getattr(args, "samples", None)
     reports = []
     for name in names:
-        reports.extend(run_check(name, seed=cfg["seed"], n_samples=samples))
+        reports.extend(run_check(name, seed=cfg["seed"], n_samples=cfg["samples"]))
     payload = reports_to_json(reports)
     sys.stdout.write(payload.decode("utf-8"))
-    if cfg.get("out"):
-        Path(cfg["out"]).write_bytes(payload)
+    if cfg["out"]:
+        write_atomic(cfg["out"], payload)
     return 0 if all(r.passed for r in reports) else 1
 
 
 def _cmd_cocycle(args: argparse.Namespace) -> int:
-    from .extension import cocycle
-
     cfg = _resolve(args)
     lie = build_basis(cfg["group_n"])
     eta_c = np.load(args.eta)
@@ -210,10 +204,9 @@ def _cmd_cocycle(args: argparse.Namespace) -> int:
             f"fields have {eta_c.shape[-1]} algebra coefficients, su({lie.n}) "
             f"needs {lie.dim}"
         )
-    dim = eta_c.ndim - 1
-    basis = build_spectrum(dim, eta_c.shape[0], cfg["modes"])
+    grid = build_grid(eta_c.ndim - 1, eta_c.shape[0])
     vec = cocycle(
-        basis.grid,
+        grid,
         AlgebraField(coeffs=eta_c, lie=lie),
         AlgebraField(coeffs=eta1_c, lie=lie),
     )
@@ -227,24 +220,19 @@ def _cmd_extend(args: argparse.Namespace) -> int:
     sde_cfg = _make_sde_config(cfg)
     rank = cfg["dim"] * (cfg["group_n"] ** 2 - 1)
     lattice = _lattice_from_config(cfg, rank)
-    n_samples = cfg["samples"]
-    base = cfg["stream_id"]
-
-    grid_shape = sde_cfg.spec.basis.grid.shape
-    n = cfg["group_n"]
-    mats = np.empty((n_samples,) + grid_shape + (n, n), dtype=complex)
-    central = np.empty((n_samples, rank))
-    for i in range(n_samples):
-        mats[i] = sample_field(sde_cfg, stream=substream(cfg["seed"], base + i)).mats
-        central[i] = haar_sample(
-            lattice, substream(cfg["seed"], EXTENSION_CENTRAL_STREAM + base + i)
-        ).coords
+    if cfg["samples"] < 1:
+        raise ValueError(f"n_samples must be >= 1, got {cfg['samples']}")
+    draws = [
+        sample_extension(sde_cfg, lattice, cfg["stream_id"] + i)
+        for i in range(cfg["samples"])
+    ]
     cfg["lattice"] = lattice.generators.tolist()
-    manifest = _manifest(cfg, n_samples)
-    write_ensemble(out, manifest, mats)
-    central_doc = {"central": central.tolist()}
-    Path(out + ".central.json").write_text(
-        json.dumps(central_doc, indent=2, sort_keys=True) + "\n"
+    manifest = _manifest(cfg, len(draws))
+    write_ensemble(out, manifest, np.stack([d.field.mats for d in draws]))
+    central_doc = {"central": [d.central.coords.tolist() for d in draws]}
+    write_atomic(
+        out + ".central.json",
+        (json.dumps(central_doc, indent=2, sort_keys=True) + "\n").encode("utf-8"),
     )
     print(f"wrote {out}.json, {out}.f64le and {out}.central.json")
     return 0
@@ -264,7 +252,7 @@ def run_cli(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, StorageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .brownian import CovarianceSpec
+from .brownian import synthesize
 from .diagnostics import StatReport, default_config, make_report, one_sided_report
 from .extension import (
     EXTENSION_CENTRAL_STREAM,
@@ -25,7 +25,7 @@ from .extension import (
     leibniz_check,
 )
 from .fields import AlgebraField, field_bracket
-from .lie import build_basis, killing_form, AlgebraElement
+from .lie import build_basis
 from .rng import diagnostic_stream, substream
 from .sde import sample_marginal
 from .torus import SpectralBasis, build_spectrum
@@ -42,11 +42,7 @@ def random_band_limited(
 ) -> AlgebraField:
     """Random field with i.i.d. normal coefficients over the truncated basis."""
     c = scale * stream.normal(size=(basis.n_modes, lie.dim))
-    values = basis.values.reshape(basis.n_modes, -1)
-    coeffs = np.tensordot(values, c, axes=(0, 0)).reshape(
-        basis.grid.shape + (lie.dim,)
-    )
-    return AlgebraField(coeffs=coeffs, lie=lie)
+    return AlgebraField(coeffs=synthesize(basis, c), lie=lie)
 
 
 def cocycle_suite(seed: int = 0, n_triples: int = 100, p: int = 64) -> list:
@@ -98,8 +94,7 @@ def cocycle_suite(seed: int = 0, n_triples: int = 100, p: int = 64) -> list:
 
     # (d) closed-form value on the circle: eta = cos(x) X, eta1 = sin(x) X
     x_coeff = stream.normal(size=lie.dim)
-    x_elem = AlgebraElement(coeffs=x_coeff, basis=lie)
-    kappa_xx = killing_form(x_elem, x_elem)
+    kappa_xx = float(x_coeff @ lie.killing @ x_coeff)
     coords = basis_pair.grid.coordinates()[..., 0]
     eta = AlgebraField(
         coeffs=np.cos(coords)[..., np.newaxis] * x_coeff, lie=lie

@@ -16,16 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brownian import (
-    CovarianceSpec,
-    covariance_kernel,
-    gram_sqrt,
-    kernel_gram,
-    pointwise_variance,
-)
-from .lie import build_basis, exp_batch, log_batch
+from .brownian import CovarianceSpec, covariance_kernel, synthesize
+from .lie import LieBasis, build_basis, log_batch
+from .lie import exp_batch  # noqa: F401  unused here; bench/spans.py traces this name
 from .rng import RngStream, diagnostic_stream
-from .sde import FieldState, SdeConfig, initial_state, sample_marginal
+from .sde import CHUNK, FieldState, SdeConfig, flow, sample_marginal
 from .torus import build_spectrum
 
 __all__ = [
@@ -284,13 +279,32 @@ def _slope_fit(x: np.ndarray, y: np.ndarray, yvar: np.ndarray) -> tuple:
     return slope, np.sqrt(var)
 
 
+def _check_ladder(step_ladder: tuple) -> list:
+    """Sorted step counts; at least three levels, each dividing the next."""
+    ladder = sorted(int(v) for v in step_ladder)
+    if len(ladder) < 3:
+        raise ValueError(f"need at least 3 ladder levels, got {len(ladder)}")
+    for a, b in zip(ladder, ladder[1:]):
+        if b % a != 0:
+            raise ValueError(f"ladder levels must nest by integer factors, got {ladder}")
+    return ladder
+
+
+def _coarse_terminal(lie: LieBasis, incr: np.ndarray, n_steps: int) -> np.ndarray:
+    """Terminal g over n_steps steps whose increments are block sums of the
+    fine increments incr (m, n_fine, dim_g): the common-random-number path."""
+    m, n_fine, dim_g = incr.shape
+    coarse = incr.reshape(m, n_steps, n_fine // n_steps, dim_g).sum(axis=2)
+    g0 = np.broadcast_to(np.eye(lie.n, dtype=complex), (m, lie.n, lie.n))
+    return flow(lie, g0, n_steps, lambda s: coarse[:, s, :])
+
+
 def weak_order_test(
     cfg: SdeConfig,
     step_ladder: tuple = (8, 16, 32, 64),
     n_samples: int = 1_000_000,
     point=None,
     stream: RngStream | None = None,
-    chunk: int = 50_000,
 ) -> StatReport:
     """Log-log slope of the character bias vs step size, via level differences.
 
@@ -300,12 +314,7 @@ def weak_order_test(
     for a weak order-p scheme they scale like h_l^p.  If any difference is
     within 2 standard errors of zero the result is inconclusive and fails.
     """
-    ladder = sorted(int(v) for v in step_ladder)
-    if len(ladder) < 3:
-        raise ValueError(f"need at least 3 ladder levels, got {len(ladder)}")
-    for a, b in zip(ladder, ladder[1:]):
-        if b % a != 0:
-            raise ValueError(f"ladder levels must nest by integer factors, got {ladder}")
+    ladder = _check_ladder(step_ladder)
     if cfg.spec.lie.n != 2:
         raise ValueError("character observable requires SU(2)")
     if point is None:
@@ -318,22 +327,17 @@ def weak_order_test(
     n_fine = ladder[-1]
     h_fine = cfg.t_end / n_fine
     dim_g = cfg.spec.dim_g
-    lie = cfg.spec.lie
 
     n_levels = len(ladder)
     sums = np.zeros(n_levels - 1)
     sqsums = np.zeros(n_levels - 1)
     total = 0
-    for lo in range(0, n_samples, chunk):
-        m = min(chunk, n_samples - lo)
+    for lo in range(0, n_samples, CHUNK):
+        m = min(CHUNK, n_samples - lo)
         incr = np.sqrt(h_fine * c) * stream.normal(size=(m, n_fine, dim_g))
         traces = np.empty((n_levels, m))
         for li, n_steps in enumerate(ladder):
-            block = n_fine // n_steps
-            coarse = incr.reshape(m, n_steps, block, dim_g).sum(axis=2)
-            g = np.broadcast_to(np.eye(2, dtype=complex), (m, 2, 2)).copy()
-            for s in range(n_steps):
-                g = g @ exp_batch(lie, coarse[:, s, :])
+            g = _coarse_terminal(cfg.spec.lie, incr, n_steps)
             traces[li] = np.real(g[:, 0, 0] + g[:, 1, 1])
         diffs = traces[:-1] - traces[1:]  # (n_levels-1, m)
         sums += diffs.sum(axis=1)
@@ -373,12 +377,7 @@ def strong_convergence_test(
     RMS ||g^(l) - g^(l+1)||_F over samples scales like h_l^rho with rho =
     1/2 for this scheme; reports the fitted rho with band [0.4, 0.6].
     """
-    ladder = sorted(int(v) for v in step_ladder)
-    if len(ladder) < 3:
-        raise ValueError(f"need at least 3 ladder levels, got {len(ladder)}")
-    for a, b in zip(ladder, ladder[1:]):
-        if b % a != 0:
-            raise ValueError(f"ladder levels must nest by integer factors, got {ladder}")
+    ladder = _check_ladder(step_ladder)
     if point is None:
         point = np.zeros(cfg.spec.basis.grid.dim)
     point = np.atleast_1d(np.asarray(point, dtype=float))
@@ -389,18 +388,9 @@ def strong_convergence_test(
     n_fine = ladder[-1]
     h_fine = cfg.t_end / n_fine
     dim_g = cfg.spec.dim_g
-    lie = cfg.spec.lie
-    n = lie.n
 
     incr = np.sqrt(h_fine * c) * stream.normal(size=(n_samples, n_fine, dim_g))
-    terminal = []
-    for n_steps in ladder:
-        block = n_fine // n_steps
-        coarse = incr.reshape(n_samples, n_steps, block, dim_g).sum(axis=2)
-        g = np.broadcast_to(np.eye(n, dtype=complex), (n_samples, n, n)).copy()
-        for s in range(n_steps):
-            g = g @ exp_batch(lie, coarse[:, s, :])
-        terminal.append(g)
+    terminal = [_coarse_terminal(cfg.spec.lie, incr, n_steps) for n_steps in ladder]
 
     rms = np.empty(len(ladder) - 1)
     log_rms_var = np.empty(len(ladder) - 1)
@@ -453,25 +443,23 @@ def _sample_log_fields(
     n_samples: int,
     stream: RngStream,
 ) -> np.ndarray:
-    """Batched full-grid sampling of log g_t coefficients: (N, *shape, dim_g)."""
-    grid = spec.basis.grid
-    n = spec.lie.n
-    dim_g = spec.dim_g
-    dt = t / n_steps
-    w = spec.weights
-    values = spec.basis.values.reshape(spec.basis.n_modes, -1)  # (modes, pts)
-    amp = np.sqrt(dt * w)
+    """Batched full-grid sampling of log g_t coefficients: (N, *shape, dim_g).
 
-    g = np.broadcast_to(
-        np.eye(n, dtype=complex), (n_samples, values.shape[1], n, n)
-    ).copy()
-    for _ in range(n_steps):
-        xi = stream.normal(size=(n_samples, spec.basis.n_modes, dim_g))
+    The batch flows in (*shape, N) layout, which is what synthesizing the
+    mode-major noise produces; the sample axis moves to the front once, on
+    the logarithm.
+    """
+    n = spec.lie.n
+    amp = np.sqrt(t / n_steps * spec.weights)
+
+    def draw(_):
+        xi = stream.normal(size=(n_samples, spec.basis.n_modes, spec.dim_g))
         xi *= amp[np.newaxis, :, np.newaxis]
-        coeffs = np.einsum("mp,sma->spa", values, xi)
-        g = g @ exp_batch(spec.lie, coeffs)
-    coeffs = log_batch(spec.lie, g)
-    return coeffs.reshape((n_samples,) + grid.shape + (dim_g,))
+        return synthesize(spec.basis, xi.transpose(1, 0, 2))
+
+    g0 = np.broadcast_to(np.eye(n, dtype=complex), spec.basis.grid.shape + (n_samples, n, n))
+    g = flow(spec.lie, g0, n_steps, draw)
+    return np.moveaxis(log_batch(spec.lie, g), -2, 0)
 
 
 def regularity_probe(

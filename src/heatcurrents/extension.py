@@ -23,7 +23,7 @@ import numpy as np
 
 from .fields import AlgebraField, OneFormField, exterior_derivative, field_bracket, field_killing
 from .rng import RngStream, substream
-from .sde import FieldState, SdeConfig, sample_field, step
+from .sde import FieldState, SdeConfig, sample_field
 from .torus import TorusGrid, spectral_derivative
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "haar_sample",
     "sample_extension",
     "extended_bracket",
-    "extended_sde_step",
     "central_brownian_marginal",
     "wrapped_normal_cdf",
 ]
@@ -238,31 +237,6 @@ def extended_bracket(
     eta, _ = x
     eta1, _ = y
     return field_bracket(eta, eta1), cocycle(grid, eta, eta1)
-
-
-def extended_sde_step(
-    state: ExtendedElement,
-    incr: AlgebraField,
-    central_incr: np.ndarray,
-    dt: float,
-    lattice: LatticeSpec,
-) -> ExtendedElement:
-    """One step of the lifted flow: field geodesic step, fiber translation.
-
-    central_incr is an ambient R^N Gaussian increment (caller scales by
-    sqrt(dt) * sigma); the fiber coordinate random-walks on the torus Z.
-    """
-    central_incr = np.asarray(central_incr, dtype=float)
-    if central_incr.shape != (lattice.rank,):
-        raise ValueError(
-            f"central increment has shape {central_incr.shape}, lattice rank "
-            f"is {lattice.rank}"
-        )
-    new_field = step(state.field, incr, dt)
-    ambient = state.central.coords + np.linalg.solve(lattice.generators, central_incr)
-    frac = ambient - np.floor(ambient)
-    frac[frac >= 1.0] -= 1.0
-    return ExtendedElement(field=new_field, central=CentralTorusElement(coords=frac))
 
 
 def central_brownian_marginal(

@@ -20,14 +20,9 @@ import numpy as np
 
 __all__ = [
     "LieBasis",
-    "AlgebraElement",
-    "GroupElement",
     "build_basis",
-    "bracket",
     "bracket_coeffs",
-    "killing_form",
     "killing_pair",
-    "exp_map",
     "exp_batch",
     "log_batch",
     "coeffs_to_matrix",
@@ -111,50 +106,6 @@ def build_basis(n: int) -> LieBasis:
     return LieBasis(n=n, matrices=mats, structure=structure, killing=killing)
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
-    """An element of su(n) as real coefficients over a LieBasis."""
-
-    coeffs: np.ndarray
-    basis: LieBasis
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        if c.shape != (self.basis.dim,):
-            raise ValueError(
-                f"expected {self.basis.dim} coefficients, got shape {c.shape}"
-            )
-        if not np.all(np.isfinite(c)):
-            raise ValueError("algebra coefficients must be finite")
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return coeffs_to_matrix(self.basis, self.coeffs)
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """An element of SU(n): unitary unimodular complex matrix."""
-
-    mat: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.mat, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"group element must be square, got shape {m.shape}")
-        object.__setattr__(self, "mat", m)
-
-    def unitarity_defect(self) -> float:
-        n = self.mat.shape[0]
-        return float(
-            np.linalg.norm(self.mat.conj().T @ self.mat - np.eye(n), ord="fro")
-        )
-
-    def det_defect(self) -> float:
-        return float(abs(np.linalg.det(self.mat) - 1.0))
-
-
 def coeffs_to_matrix(basis: LieBasis, coeffs: np.ndarray) -> np.ndarray:
     """Reconstruct matrices from coefficient arrays of shape (..., dim)."""
     return np.tensordot(np.asarray(coeffs, dtype=float), basis.matrices, axes=(-1, 0))
@@ -165,42 +116,14 @@ def matrix_to_coeffs(basis: LieBasis, mats: np.ndarray) -> np.ndarray:
     return np.real(-2.0 * np.einsum("...ij,aji->...a", np.asarray(mats), basis.matrices))
 
 
-def _check_same_basis(x: AlgebraElement, y: AlgebraElement) -> LieBasis:
-    if x.basis.dim != y.basis.dim or x.basis.n != y.basis.n:
-        raise ValueError(
-            f"algebra elements live over different bases "
-            f"(su({x.basis.n}) vs su({y.basis.n}))"
-        )
-    return x.basis
-
-
-def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Commutator [x, y] via structure constants."""
-    basis = _check_same_basis(x, y)
-    coeffs = np.einsum("a,b,abc->c", x.coeffs, y.coeffs, basis.structure)
-    return AlgebraElement(coeffs=coeffs, basis=basis)
-
-
 def bracket_coeffs(basis: LieBasis, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Batched commutator on coefficient arrays of shape (..., dim)."""
     return np.einsum("...a,...b,abc->...c", x, y, basis.structure)
 
 
-def killing_form(x: AlgebraElement, y: AlgebraElement) -> float:
-    """kappa(x, y) = tr(ad_x ad_y), from the precomputed Killing matrix."""
-    basis = _check_same_basis(x, y)
-    return float(x.coeffs @ basis.killing @ y.coeffs)
-
-
 def killing_pair(basis: LieBasis, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Pointwise Killing pairing of coefficient arrays (..., dim) -> (...)."""
     return np.einsum("...a,ab,...b->...", x, basis.killing, y)
-
-
-def exp_map(x: AlgebraElement) -> GroupElement:
-    """Matrix exponential of the reconstructed anti-Hermitian matrix."""
-    mat = exp_batch(x.basis, x.coeffs[np.newaxis, :])[0]
-    return GroupElement(mat=mat)
 
 
 def exp_batch(basis: LieBasis, coeffs: np.ndarray) -> np.ndarray:

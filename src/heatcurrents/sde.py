@@ -6,6 +6,11 @@ Brownian motion of `brownian`.  The integrator is the exponential Euler
 (geodesic) scheme g <- g . exp(dB), which stays on the group to round-off
 by construction and has weak order one.
 
+`flow` is the single stepping path: every sampler in the package, here
+and in `diagnostics`, advances its batch of group elements through it and
+differs only in the increments it supplies.  `brownian.synthesize` is the
+single synthesis path for increments built from the spectral basis.
+
 Two sampling routes exist on purpose.  `sample_field` integrates the full
 grid field.  `sample_marginal` integrates only a chosen subset of points:
 the restriction of the driving noise to finitely many points is again a
@@ -18,12 +23,12 @@ grid could not reach.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .brownian import AlgebraField, CovarianceSpec, gram_sqrt, kernel_gram, sample_increment
-from .lie import exp_batch
+from .lie import LieBasis, exp_batch
 from .rng import RngStream, substream
 from .torus import TorusGrid
 
@@ -31,12 +36,46 @@ __all__ = [
     "FieldState",
     "SdeConfig",
     "EnsembleHandle",
+    "CHUNK",
+    "flow",
     "initial_state",
     "step",
     "sample_field",
     "sample_ensemble",
     "sample_marginal",
 ]
+
+
+# Samples per batch in the batched samplers; fixes the draw order, so it is
+# part of what makes their output reproducible.
+CHUNK = 50_000
+
+
+def flow(lie: LieBasis, g0: np.ndarray, n_steps: int, draw) -> np.ndarray:
+    """Geodesic flow g <- g . exp(draw(i)) for i = 0 .. n_steps-1, pointwise.
+
+    g0 has shape (*batch, n, n) and may be a read-only broadcast view; each
+    increment draw(i) holds algebra coefficients of shape (*batch, dim_g).
+    Returns the terminal (*batch, n, n) array.  A mismatched increment
+    raises ValueError and non-finite group entries abort at the first bad
+    step, both naming the step as i/n_steps.
+    """
+    g = g0
+    for i in range(n_steps):
+        incr = draw(i)
+        if incr.shape[:-1] != g.shape[:-2]:
+            raise ValueError(
+                f"increment shape {incr.shape} does not match group batch shape "
+                f"{g.shape[:-2]} at step {i + 1}/{n_steps}"
+            )
+        g = g @ exp_batch(lie, incr)
+        if not np.isfinite(g).all():
+            bad = int(np.sum(~np.isfinite(g.view(float))))
+            raise FloatingPointError(
+                f"non-finite group entries after step {i + 1}/{n_steps} "
+                f"({bad} bad float components)"
+            )
+    return g
 
 
 @dataclass(frozen=True)
@@ -109,13 +148,8 @@ def initial_state(grid: TorusGrid, group_n: int = 2) -> FieldState:
 
 def step(state: FieldState, incr: AlgebraField, dt: float) -> FieldState:
     """One geodesic step: g <- g . exp(dB) pointwise, t <- t + dt."""
-    if incr.grid_shape != state.grid.shape:
-        raise ValueError(
-            f"increment grid shape {incr.grid_shape} does not match state "
-            f"grid {state.grid.shape}"
-        )
-    moves = exp_batch(incr.lie, incr.coeffs)
-    return FieldState(grid=state.grid, mats=state.mats @ moves, t=state.t + dt)
+    mats = flow(incr.lie, state.mats, 1, lambda _: incr.coeffs)
+    return FieldState(grid=state.grid, mats=mats, t=state.t + dt)
 
 
 def sample_field(
@@ -130,20 +164,16 @@ def sample_field(
     """
     if stream is None:
         stream = substream(cfg.seed, 0)
-    state = initial if initial is not None else initial_state(
-        cfg.spec.basis.grid, cfg.spec.lie.n
-    )
+    grid = cfg.spec.basis.grid
+    g0 = initial.mats if initial is not None else initial_state(grid, cfg.spec.lie.n).mats
     dt = cfg.dt
-    for i in range(cfg.n_steps):
-        incr = sample_increment(cfg.spec, dt, stream)
-        state = step(state, incr, dt)
-        if not np.all(np.isfinite(state.mats.view(float))):
-            bad = int(np.sum(~np.isfinite(state.mats.view(float))))
-            raise FloatingPointError(
-                f"non-finite field entries after step {i + 1}/{cfg.n_steps} "
-                f"({bad} bad float components)"
-            )
-    return replace(state, t=cfg.t_end)
+    mats = flow(
+        cfg.spec.lie,
+        g0,
+        cfg.n_steps,
+        lambda _: sample_increment(cfg.spec, dt, stream).coeffs,
+    )
+    return FieldState(grid=grid, mats=mats, t=cfg.t_end)
 
 
 def _one_sample(cfg: SdeConfig, index: int) -> np.ndarray:
@@ -160,9 +190,6 @@ class EnsembleHandle:
     @property
     def n_samples(self) -> int:
         return self.mats.shape[0]
-
-    def field(self, i: int) -> FieldState:
-        return FieldState(grid=self.cfg.spec.basis.grid, mats=self.mats[i], t=self.cfg.t_end)
 
 
 def sample_ensemble(cfg: SdeConfig, n_samples: int, n_workers: int = 1) -> EnsembleHandle:
@@ -191,15 +218,14 @@ def sample_marginal(
     points: np.ndarray,
     n_samples: int,
     stream: RngStream | None = None,
-    chunk: int = 50_000,
 ) -> np.ndarray:
     """Terminal fields at a subset of points only; exact restricted law.
 
     Returns (n_samples, n_points, n, n).  Increment coefficients at the
     points are jointly Gaussian with covariance dt * Gram, realized through
     the symmetric PSD square root; algebra directions are independent.
-    Samples are drawn in fixed chunk order from one stream, so results are
-    reproducible for a given (cfg.seed, chunk) regardless of platform
+    Samples are drawn in batches of CHUNK, in fixed order from one stream,
+    so results are reproducible for a given stream regardless of platform
     threading.
     """
     if n_samples < 1:
@@ -214,14 +240,13 @@ def sample_marginal(
 
     out = np.empty((n_samples, n_pts, n, n), dtype=complex)
     eye = np.eye(n, dtype=complex)
-    for lo in range(0, n_samples, chunk):
-        hi = min(lo + chunk, n_samples)
-        g = np.broadcast_to(eye, (hi - lo, n_pts, n, n)).copy()
-        for _ in range(cfg.n_steps):
-            xi = stream.normal(size=(hi - lo, n_pts, dim_g))
-            coeffs = np.einsum("ij,sja->sia", root, xi)
-            g = g @ exp_batch(cfg.spec.lie, coeffs)
-        if not np.all(np.isfinite(g.view(float))):
-            raise FloatingPointError("non-finite entries in restricted sampler")
-        out[lo:hi] = g
+    for lo in range(0, n_samples, CHUNK):
+        hi = min(lo + CHUNK, n_samples)
+        size = (hi - lo, n_pts, dim_g)
+        out[lo:hi] = flow(
+            cfg.spec.lie,
+            np.broadcast_to(eye, (hi - lo, n_pts, n, n)),
+            cfg.n_steps,
+            lambda _: np.einsum("ij,sja->sia", root, stream.normal(size=size)),
+        )
     return out

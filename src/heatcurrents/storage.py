@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import secrets
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -30,6 +32,7 @@ __all__ = [
     "write_ensemble",
     "read_ensemble",
     "payload_checksum",
+    "write_atomic",
 ]
 
 FORMAT_VERSION = 1
@@ -97,10 +100,35 @@ def _payload_bytes(mats: np.ndarray) -> bytes:
     return np.ascontiguousarray(mats, dtype="<c16").tobytes(order="C")
 
 
+def _stage(target: Path, data: bytes) -> Path:
+    """Write data to a fresh temp file beside target; returns its path.
+
+    The file is created exclusively, with the same permissions a plain
+    write would give it; a failed write removes it before the error
+    propagates.
+    """
+    tmp = target.with_name(f"{target.name}.{secrets.token_hex(8)}.tmp")
+    tmp.touch(exist_ok=False)
+    try:
+        tmp.write_bytes(data)
+    except BaseException:
+        tmp.unlink()
+        raise
+    return tmp
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Replace the file at path by data: readers see the old or the new bytes."""
+    path = Path(path)
+    os.replace(_stage(path, data), path)
+
+
 def write_ensemble(path, manifest: EnsembleManifest, mats: np.ndarray) -> EnsembleManifest:
     """Persist (manifest, fields); returns the manifest with checksum filled.
 
     `mats` must have shape (n_samples, *grid, n, n) matching the manifest.
+    Both files are staged in full before either replaces its predecessor,
+    so a failed write leaves the previous pair in place.
     """
     mats = np.asarray(mats)
     expected_shape = (manifest.n_samples,) + (manifest.p,) * manifest.d + (
@@ -116,10 +144,16 @@ def write_ensemble(path, manifest: EnsembleManifest, mats: np.ndarray) -> Ensemb
     final = replace(manifest, checksum=payload_checksum(payload))
     stem = Path(path)
     stem.parent.mkdir(parents=True, exist_ok=True)
+    staged = []
     try:
-        Path(str(stem) + ".f64le").write_bytes(payload)
-        Path(str(stem) + ".json").write_bytes(final.to_json_bytes())
+        for suffix, data in ((".f64le", payload), (".json", final.to_json_bytes())):
+            target = Path(str(stem) + suffix)
+            staged.append((_stage(target, data), target))
+        for tmp, target in staged:
+            os.replace(tmp, target)
     except OSError as exc:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
         raise StorageError(f"failed writing ensemble at {stem}: {exc}") from exc
     return final
 

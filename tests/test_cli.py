@@ -116,6 +116,47 @@ def test_config_file_precedence(tmp_path, capsys):
     assert mats.shape == (1, 32, 2, 2)
 
 
+def test_subcommands_reject_flags_they_do_not_use():
+    for argv in (
+        ["verify", "--check", "drift", "--dim", "2"],
+        ["verify", "--check", "drift", "--grid", "16"],
+        ["sample", "--samples", "3", "--out", "x"],
+        ["ensemble", "--stream-id", "1", "--out", "x"],
+        ["cocycle", "--eta", "a.npy", "--eta1", "b.npy", "--modes", "4"],
+        ["extend", "--workers", "2", "--out", "x"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.run_cli(argv)
+        assert exc.value.code == 2, argv
+
+
+def test_config_key_unused_by_subcommand(tmp_path, capsys):
+    for command, key in (("sample", "samples"), ("ensemble", "lattice"), ("verify", "dim")):
+        cfg = tmp_path / f"{command}-cfg.json"
+        cfg.write_text(json.dumps({key: 2}))
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / command)]
+        rc, _, err = run(argv, capsys)
+        assert rc == 1
+        assert err.startswith("error:") and f"['{key}']" in err
+    # nothing was written
+    assert {p.name for p in tmp_path.iterdir()} == {
+        "sample-cfg.json", "ensemble-cfg.json", "verify-cfg.json"
+    }
+
+
+def test_verify_honours_config_samples(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"samples": 7, "seed": 2}))
+    rc, out, _ = run(["verify", "--check", "cocycle", "--config", str(cfg)], capsys)
+    _, flags, _ = run(
+        ["verify", "--check", "cocycle", "--samples", "7", "--seed", "2"], capsys
+    )
+    assert rc == 0
+    assert out == flags
+    counts = {r["name"]: r["n_samples"] for r in json.loads(out)}
+    assert counts["cocycle_cyclic"] == 7
+
+
 def test_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"gird": 32}))
@@ -180,7 +221,6 @@ def test_cocycle_round_trip(tmp_path, capsys):
     rc, out, _ = run(
         [
             "cocycle",
-            "--grid", "32", "--modes", "7",
             "--eta", str(tmp_path / "eta.npy"),
             "--eta1", str(tmp_path / "eta1.npy"),
         ],
@@ -216,6 +256,28 @@ def test_cocycle_circle_example(tmp_path, capsys):
     coords = json.loads(out)["coords"]
     assert coords[0] == pytest.approx(-1.0, abs=1e-12)
     assert coords[1] == coords[2] == 0.0
+
+
+def test_cocycle_on_small_grid_needs_no_flags(tmp_path, capsys):
+    # a 16-point field is valid; the default --modes used to reject it
+    grid = build_grid(1, 16)
+    lie = build_basis(2)
+    x = grid.coordinates()[:, 0]
+    eta_c = np.stack([np.cos(x), np.sin(3 * x), 0 * x], axis=-1)
+    eta1_c = np.stack([np.sin(x), 0 * x, np.cos(2 * x)], axis=-1)
+    np.save(tmp_path / "eta.npy", eta_c)
+    np.save(tmp_path / "eta1.npy", eta1_c)
+    rc, out, err = run(
+        ["cocycle", "--eta", str(tmp_path / "eta.npy"), "--eta1", str(tmp_path / "eta1.npy")],
+        capsys,
+    )
+    assert rc == 0, err
+    expected = cocycle(
+        grid,
+        AlgebraField(coeffs=eta_c, lie=lie),
+        AlgebraField(coeffs=eta1_c, lie=lie),
+    ).coords
+    assert json.loads(out)["coords"] == expected.tolist()
 
 
 def test_cocycle_shape_mismatch(tmp_path, capsys):

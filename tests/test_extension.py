@@ -8,13 +8,11 @@ from heatcurrents.extension import (
     EXTENSION_CENTRAL_STREAM,
     CentralTorusElement,
     CohomologyVector,
-    ExtendedElement,
     LatticeSpec,
     central_brownian_marginal,
     cocycle,
     cocycle_scalars,
     extended_bracket,
-    extended_sde_step,
     haar_sample,
     harmonic_projection,
     leibniz_check,
@@ -26,7 +24,7 @@ from heatcurrents.brownian import CovarianceSpec
 from heatcurrents.fields import AlgebraField, OneFormField, field_bracket, field_killing
 from heatcurrents.lie import build_basis
 from heatcurrents.rng import substream
-from heatcurrents.sde import SdeConfig, initial_state, sample_field
+from heatcurrents.sde import SdeConfig, sample_field
 from heatcurrents.torus import build_grid, build_spectrum, quadrature
 
 LIE2 = build_basis(2)
@@ -278,22 +276,6 @@ def test_extended_jacobi():
             central_resid += cocycle(grid, inner, z).coords
         assert np.max(np.abs(field_resid)) < 1e-10
         assert np.max(np.abs(central_resid)) < 1e-9
-
-
-def test_extended_sde_step():
-    grid = build_grid(1, 16)
-    lat = LatticeSpec.identity(3)
-    state = ExtendedElement(
-        field=initial_state(grid),
-        central=CentralTorusElement(coords=np.array([0.2, 0.9, 0.0])),
-    )
-    zero_incr = AlgebraField(coeffs=np.zeros((16, 3)), lie=LIE2)
-    out = extended_sde_step(state, zero_incr, np.array([0.05, 0.2, -0.3]), 0.1, lat)
-    assert np.array_equal(out.field.mats, state.field.mats)
-    assert out.field.t == pytest.approx(0.1)
-    assert np.allclose(out.central.coords, [0.25, 0.1, 0.7], atol=1e-14)
-    with pytest.raises(ValueError):
-        extended_sde_step(state, zero_incr, np.zeros(2), 0.1, lat)
 
 
 def test_central_brownian_marginal_matches_wrapped_normal():

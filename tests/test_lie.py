@@ -4,18 +4,18 @@ accuracy for the su(n) kernels."""
 import numpy as np
 import pytest
 
+from heatcurrents.fields import AlgebraField
 from heatcurrents.lie import (
-    AlgebraElement,
-    GroupElement,
-    bracket,
+    bracket_coeffs,
     build_basis,
     coeffs_to_matrix,
     exp_batch,
-    exp_map,
-    killing_form,
+    killing_pair,
     log_batch,
     matrix_to_coeffs,
 )
+from heatcurrents.sde import FieldState
+from heatcurrents.torus import build_grid
 
 
 def expm_series(x, squarings=8, terms=20):
@@ -72,10 +72,11 @@ def test_bracket_matches_matrix_commutator(n):
     b = build_basis(n)
     rng = np.random.default_rng(41)
     for _ in range(10):
-        x = AlgebraElement(coeffs=rng.normal(size=b.dim), basis=b)
-        y = AlgebraElement(coeffs=rng.normal(size=b.dim), basis=b)
-        via_struct = bracket(x, y).matrix
-        direct = x.matrix @ y.matrix - y.matrix @ x.matrix
+        x = rng.normal(size=b.dim)
+        y = rng.normal(size=b.dim)
+        via_struct = coeffs_to_matrix(b, bracket_coeffs(b, x, y))
+        xm, ym = coeffs_to_matrix(b, x), coeffs_to_matrix(b, y)
+        direct = xm @ ym - ym @ xm
         assert np.max(np.abs(via_struct - direct)) < 1e-12
 
 
@@ -83,14 +84,12 @@ def test_bracket_antisymmetry_and_jacobi():
     b = build_basis(2)
     rng = np.random.default_rng(42)
     for _ in range(20):
-        x, y, z = (
-            AlgebraElement(coeffs=rng.normal(size=3), basis=b) for _ in range(3)
-        )
-        assert np.max(np.abs(bracket(x, x).coeffs)) == 0.0
+        x, y, z = (rng.normal(size=3) for _ in range(3))
+        assert np.max(np.abs(bracket_coeffs(b, x, x))) == 0.0
         jac = (
-            bracket(x, bracket(y, z)).coeffs
-            + bracket(y, bracket(z, x)).coeffs
-            + bracket(z, bracket(x, y)).coeffs
+            bracket_coeffs(b, x, bracket_coeffs(b, y, z))
+            + bracket_coeffs(b, y, bracket_coeffs(b, z, x))
+            + bracket_coeffs(b, z, bracket_coeffs(b, x, y))
         )
         assert np.max(np.abs(jac)) < 1e-12
 
@@ -99,11 +98,11 @@ def test_killing_symmetry_and_ad_invariance():
     b = build_basis(3)
     rng = np.random.default_rng(43)
     for _ in range(10):
-        x, y, z = (
-            AlgebraElement(coeffs=rng.normal(size=b.dim), basis=b) for _ in range(3)
+        x, y, z = (rng.normal(size=b.dim) for _ in range(3))
+        assert abs(killing_pair(b, x, y) - killing_pair(b, y, x)) < 1e-10
+        invar = killing_pair(b, bracket_coeffs(b, z, x), y) + killing_pair(
+            b, x, bracket_coeffs(b, z, y)
         )
-        assert abs(killing_form(x, y) - killing_form(y, x)) < 1e-10
-        invar = killing_form(bracket(z, x), y) + killing_form(x, bracket(z, y))
         assert abs(invar) < 1e-10
 
 
@@ -111,38 +110,34 @@ def test_killing_su2_equals_4_trace():
     # independent oracle: ad matrices assembled from bracket columns
     b = build_basis(2)
     rng = np.random.default_rng(44)
-    x = AlgebraElement(coeffs=rng.normal(size=3), basis=b)
-    y = AlgebraElement(coeffs=rng.normal(size=3), basis=b)
+    x = rng.normal(size=3)
+    y = rng.normal(size=3)
 
     def ad(v):
-        cols = []
-        for a in range(3):
-            e = AlgebraElement(coeffs=np.eye(3)[a], basis=b)
-            cols.append(bracket(v, e).coeffs)
+        cols = [bracket_coeffs(b, v, e) for e in np.eye(3)]
         return np.stack(cols, axis=1)
 
     oracle = np.trace(ad(x) @ ad(y))
-    assert abs(killing_form(x, y) - oracle) < 1e-10
-    assert abs(killing_form(x, y) - 4.0 * np.real(np.trace(x.matrix @ y.matrix))) < 1e-10
+    kappa = killing_pair(b, x, y)
+    assert abs(kappa - oracle) < 1e-10
+    trace = np.trace(coeffs_to_matrix(b, x) @ coeffs_to_matrix(b, y))
+    assert abs(kappa - 4.0 * np.real(trace)) < 1e-10
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_killing_negative_definite(n):
     b = build_basis(n)
     rng = np.random.default_rng(45)
-    for _ in range(100):
-        x = AlgebraElement(coeffs=rng.normal(size=b.dim), basis=b)
-        assert killing_form(x, x) < 0.0
+    x = rng.normal(size=(100, b.dim))
+    assert np.all(killing_pair(b, x, x) < 0.0)
 
 
 def test_exp_identity_and_inverse():
     b = build_basis(2)
-    zero = AlgebraElement(coeffs=np.zeros(3), basis=b)
-    assert np.array_equal(exp_map(zero).mat, np.eye(2))
+    assert np.array_equal(exp_batch(b, np.zeros(3)), np.eye(2))
     rng = np.random.default_rng(46)
-    x = AlgebraElement(coeffs=rng.normal(size=3), basis=b)
-    neg = AlgebraElement(coeffs=-x.coeffs, basis=b)
-    prod = exp_map(x).mat @ exp_map(neg).mat
+    x = rng.normal(size=3)
+    prod = exp_batch(b, x) @ exp_batch(b, -x)
     assert np.max(np.abs(prod - np.eye(2))) < 1e-12
 
 
@@ -150,9 +145,9 @@ def test_exp_su2_eigenphases():
     # X = theta T_3 rotates the diagonal by phases -+ theta/2
     b = build_basis(2)
     theta = 1.234
-    x = AlgebraElement(coeffs=np.array([0.0, 0.0, theta]), basis=b)
-    g = exp_map(x).mat
-    oracle = expm_series(x.matrix)
+    x = np.array([0.0, 0.0, theta])
+    g = exp_batch(b, x)
+    oracle = expm_series(coeffs_to_matrix(b, x))
     assert np.max(np.abs(g - oracle)) < 1e-13
     phases = np.angle(np.linalg.eigvals(g))
     assert np.allclose(sorted(phases), sorted([-theta / 2, theta / 2]), atol=1e-12)
@@ -174,12 +169,11 @@ def test_exp_accuracy_against_series(n):
 def test_exp_stays_on_group(n):
     b = build_basis(n)
     rng = np.random.default_rng(48)
-    for _ in range(25):
-        coeffs = rng.normal(size=b.dim)
-        coeffs *= rng.uniform(0, 10) / np.linalg.norm(coeffs)
-        g = GroupElement(mat=exp_batch(b, coeffs[np.newaxis])[0])
-        assert g.unitarity_defect() < 1e-10
-        assert g.det_defect() < 1e-10
+    coeffs = rng.normal(size=(32, b.dim))
+    coeffs *= rng.uniform(0, 10, size=(32, 1)) / np.linalg.norm(coeffs, axis=1, keepdims=True)
+    g = FieldState(grid=build_grid(1, 32), mats=exp_batch(b, coeffs), t=0.0)
+    assert g.unitarity_defect() < 1e-10
+    assert g.det_defect() < 1e-10
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -200,16 +194,22 @@ def test_coeff_matrix_round_trip():
     assert np.max(np.abs(matrix_to_coeffs(b, coeffs_to_matrix(b, coeffs)) - coeffs)) < 1e-12
 
 
-def test_algebra_element_validation():
+def test_algebra_field_validation():
     b = build_basis(2)
     with pytest.raises(ValueError):
-        AlgebraElement(coeffs=np.zeros(4), basis=b)
+        AlgebraField(coeffs=np.zeros((16, 4)), lie=b)
+    bad = np.zeros((16, 3))
+    bad[5, 0] = np.nan
     with pytest.raises(ValueError):
-        AlgebraElement(coeffs=np.array([np.nan, 0.0, 0.0]), basis=b)
+        AlgebraField(coeffs=bad, lie=b)
 
 
-def test_group_element_defects_flag_corruption():
-    g = GroupElement(mat=np.eye(2, dtype=complex))
-    assert g.unitarity_defect() == 0.0
-    bad = GroupElement(mat=np.eye(2, dtype=complex) * 1.5)
+def test_field_state_defects_flag_corruption():
+    grid = build_grid(1, 4)
+    eye = np.broadcast_to(np.eye(2, dtype=complex), (4, 2, 2))
+    assert FieldState(grid=grid, mats=eye, t=0.0).unitarity_defect() == 0.0
+    mats = eye.copy()
+    mats[2] *= 1.5
+    bad = FieldState(grid=grid, mats=mats, t=0.0)
     assert bad.unitarity_defect() > 1.0
+    assert bad.det_defect() > 1.0

@@ -1,5 +1,7 @@
 """Stream addressing and the manifest/payload persistence format."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -208,3 +210,30 @@ def test_lattice_persisted(tmp_path):
     write_ensemble(tmp_path / "run", manifest, random_fields())
     back, _ = read_ensemble(tmp_path / "run")
     assert back.lattice == [[1.0, 0.0], [0.0, 2.0]]
+
+
+def test_failed_manifest_write_keeps_previous_pair(tmp_path, monkeypatch):
+    old = write_ensemble(tmp_path / "run", make_manifest(), random_fields(seed=1))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    # staging keeps the permissions a plain file write would give
+    (tmp_path / "plain").write_bytes(b"")
+    mode = (tmp_path / "plain").stat().st_mode
+    (tmp_path / "plain").unlink()
+    assert {p.stat().st_mode for p in tmp_path.iterdir()} == {mode}
+    real_write = Path.write_bytes
+
+    def disk_full_on_manifest(self, data):
+        if self.name.startswith("run.json."):
+            real_write(self, data[: len(data) // 2])
+            raise OSError(28, "No space left on device")
+        return real_write(self, data)
+
+    monkeypatch.setattr(Path, "write_bytes", disk_full_on_manifest)
+    with pytest.raises(StorageError, match="No space left"):
+        write_ensemble(tmp_path / "run", make_manifest(seed=2), random_fields(seed=2))
+    monkeypatch.undo()
+
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    back, mats = read_ensemble(tmp_path / "run")
+    assert back == old
+    assert np.array_equal(mats, random_fields(seed=1))

@@ -5,12 +5,14 @@ import pytest
 
 from heatcurrents import sde
 from heatcurrents.brownian import CovarianceSpec, pointwise_variance
+from heatcurrents.diagnostics import strong_convergence_test, weak_order_test
 from heatcurrents.fields import AlgebraField
 from heatcurrents.lie import build_basis, exp_batch
 from heatcurrents.rng import substream
 from heatcurrents.sde import (
     FieldState,
     SdeConfig,
+    flow,
     initial_state,
     sample_ensemble,
     sample_field,
@@ -130,11 +132,9 @@ def test_ensemble_matches_single_stream():
     cfg = make_cfg(seed=5)
     handle = sample_ensemble(cfg, n_samples=3)
     assert handle.n_samples == 3
-    direct = sample_field(cfg, stream=substream(5, 0))
-    assert np.array_equal(handle.mats[0], direct.mats)
-    assert handle.field(1).t == 1.0
-    with pytest.raises(IndexError):
-        handle.field(3)
+    for i in (0, 2):
+        direct = sample_field(cfg, stream=substream(5, i))
+        assert np.array_equal(handle.mats[i], direct.mats)
 
 
 def test_ensemble_worker_count_irrelevant():
@@ -195,3 +195,62 @@ def test_marginal_rejects_bad_points():
         sample_marginal(cfg, np.zeros((1, 2)), 10)
     with pytest.raises(ValueError):
         sample_marginal(cfg, np.zeros((1, 1)), 0)
+
+
+class PoisonedStream:
+    """Small normal draws, with one NaN planted in the `poison_call`-th draw."""
+
+    def __init__(self, poison_call, index=0):
+        self.rng = np.random.default_rng(0)
+        self.poison_call = poison_call
+        self.index = index
+        self.calls = 0
+
+    def normal(self, size):
+        self.calls += 1
+        x = 0.1 * self.rng.normal(size=size)
+        if self.calls == self.poison_call:
+            x.flat[self.index] = np.nan
+        return x
+
+
+def test_flow_rejects_mismatched_increment():
+    g0 = np.broadcast_to(np.eye(2, dtype=complex), (4, 2, 2))
+    with pytest.raises(ValueError, match="step 1/2"):
+        flow(LIE2, g0, 2, lambda i: np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="shape"):
+        flow(LIE2, g0, 2, lambda i: np.zeros((4, 1, 3)))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_flow_zero_increments_leave_g_unchanged(n):
+    lie = build_basis(n)
+    g0 = exp_batch(lie, np.random.default_rng(3).normal(size=(5, 7, lie.dim)))
+    g = flow(lie, g0, 4, lambda i: np.zeros((5, 7, lie.dim)))
+    assert g.tobytes() == g0.tobytes()
+
+
+def test_flow_matches_stepwise_products():
+    rng = np.random.default_rng(4)
+    incr = rng.normal(size=(3, 6, 3))
+    g0 = np.broadcast_to(np.eye(2, dtype=complex), (6, 2, 2))
+    want = g0
+    for i in range(3):
+        want = want @ exp_batch(LIE2, incr[i])
+    assert np.array_equal(flow(LIE2, g0, 3, lambda i: incr[i]), want)
+
+
+def test_nan_increment_aborts_marginal():
+    cfg = make_cfg(n_steps=4)
+    with pytest.raises(FloatingPointError, match="step 3/4"):
+        sample_marginal(cfg, np.zeros((2, 1)), 10, stream=PoisonedStream(3))
+
+
+@pytest.mark.parametrize("test", [weak_order_test, strong_convergence_test])
+def test_nan_increment_aborts_ladder(test):
+    # one fine draw (8 steps) per sample; the NaN sits in fine step 5 of
+    # sample 0, which the coarsest level (2 steps of 4) meets at step 2
+    cfg = make_cfg()
+    stream = PoisonedStream(1, index=5 * 3)
+    with pytest.raises(FloatingPointError, match="step 2/2"):
+        test(cfg, step_ladder=(2, 4, 8), n_samples=10, stream=stream)
