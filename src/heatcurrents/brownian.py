@@ -4,11 +4,14 @@ The driving noise lives in the Hilbert space of Lie-algebra-valued fields
 with squared norm  integral of <(Laplacian^k + 1) h, h>  over the torus.
 Its Gaussian law is diagonal in the Laplacian eigenbasis with mode weights
 w_m = (lambda_m^k + 1)^{-1}, independently in each algebra direction.
-Sampling is a finite Karhunen-Loeve sum over the truncated basis.
+Sampling is a finite Karhunen-Loeve sum over the truncated basis, evaluated
+on the grid by one inverse real FFT (Lord, Powell and Shardlow, An
+Introduction to Computational Stochastic PDEs, 2014, ch. 6-7).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,27 +74,54 @@ class CovarianceSpec:
 
 
 def synthesize(basis: SpectralBasis, amp: np.ndarray) -> np.ndarray:
-    """Karhunen-Loeve sum over the tabulated basis: sum_m amp[m] e_m(S).
+    """Karhunen-Loeve sum on the grid: sum_m amp[m] e_m(S), by inverse FFT.
 
-    amp has the modes on its leading axis, (n_modes, ...); the result is
-    (*grid.shape, ...).  This is the one place the basis table is
-    contracted.
+    amp has the modes on its leading axis, (n_modes, *batch); the result is
+    (*grid.shape, *batch).  A cosine/sine pair (a_c, a_s) at frequency m is
+    the complex coefficient (2pi)^{-d/2} (a_c - i a_s) / sqrt(2) at +m plus
+    its conjugate at -m; the modes are placed into the half spectrum at
+    `basis.half_cells` and inverted without normalization.  Every column of
+    the batch is transformed on its own, so a column's result does not
+    depend on the batch it travels in.  This is the one synthesis path.
     """
-    return np.tensordot(basis.values, amp, axes=(0, 0))
+    amp = np.asarray(amp, dtype=float)
+    grid = basis.grid
+    batch = amp.shape[1:]
+    n_pairs = basis.frequencies.shape[0]
+    norm = (2.0 * np.pi) ** (-0.5 * grid.dim)
+    coef = np.empty((1 + 2 * n_pairs,) + batch, dtype=complex)
+    coef[0] = norm * amp[0]
+    pairs = coef[1 : n_pairs + 1]
+    np.multiply(amp[1::2], np.sqrt(0.5) * norm, out=pairs.real)
+    np.multiply(amp[2::2], -np.sqrt(0.5) * norm, out=pairs.imag)
+    np.conjugate(pairs, out=coef[n_pairs + 1 :])
+    half = np.zeros((math.prod(grid.half_shape),) + batch, dtype=complex)
+    half[basis.half_cells] = coef[basis.half_sources]
+    half = half.reshape(grid.half_shape + batch)
+    if grid.dim == 1:
+        return np.fft.irfft(half, n=grid.points_per_axis, axis=0, norm="forward")
+    return np.fft.irfftn(half, s=grid.shape, axes=tuple(range(grid.dim)), norm="forward")
 
 
-def sample_increment(spec: CovarianceSpec, dt: float, stream: RngStream) -> AlgebraField:
+def sample_increment(spec: CovarianceSpec, dt: float, streams) -> AlgebraField:
     """One centered Gaussian increment of the H-valued Brownian motion.
 
     dB(S) = sum_{m,a} sqrt(dt * w_m) xi_{m,a} e_m(S) T_a with i.i.d.
-    standard normal xi drawn from `stream`.
+    standard normal xi.  `streams` is one RngStream, giving coefficients
+    (*grid.shape, dim_g), or a sequence of them, one per sample, giving
+    (*grid.shape, n_samples, dim_g); sample s draws its xi from streams[s]
+    exactly as a lone stream would, so its column does not depend on the
+    others.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    w = spec.weights
-    xi = stream.normal(size=(spec.basis.n_modes, spec.dim_g))
-    amp = np.sqrt(dt * w)[:, np.newaxis] * xi
-    return AlgebraField(coeffs=synthesize(spec.basis, amp), lie=spec.lie)
+    size = (spec.basis.n_modes, spec.dim_g)
+    if isinstance(streams, RngStream):
+        xi = streams.normal(size=size)
+    else:
+        xi = np.stack([stream.normal(size=size) for stream in streams], axis=1)
+    scale = np.sqrt(dt * spec.weights).reshape((-1,) + (1,) * (xi.ndim - 1))
+    return AlgebraField(coeffs=synthesize(spec.basis, scale * xi), lie=spec.lie)
 
 
 def covariance_kernel(spec: CovarianceSpec, s: np.ndarray, s_prime: np.ndarray) -> float:

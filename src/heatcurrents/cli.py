@@ -41,7 +41,7 @@ _OPTIONS = {
     "samples": ("--samples", int, 1, "number of samples"),
     "seed": ("--seed", int, 0, "root seed"),
     "stream_id": ("--stream-id", int, 0, "RNG substream id (default 0)"),
-    "workers": ("--workers", int, 1, "worker threads (content is worker-independent)"),
+    "workers": ("--workers", int, 1, "threads running sample blocks (bytes do not change)"),
     "out": ("--out", str, None, "output path stem"),
     "lattice": (None, None, None, None),
 }
@@ -75,6 +75,11 @@ def _build_parser() -> argparse.ArgumentParser:
         sub = commands[command] = subs.add_parser(command, help=text)
         for key in keys:
             flag, kind, _, help_text = _OPTIONS[key]
+            if (command, key) == ("verify", "samples"):
+                help_text = (
+                    "samples per check, at least 1 (default: its acceptance size); "
+                    "drift has a fixed size and does not read it"
+                )
             if flag is not None:
                 sub.add_argument(flag, type=kind, dest=key, help=help_text)
         sub.add_argument("--config", type=str, help="JSON config file; flags override")
@@ -103,12 +108,26 @@ def _resolve(args: argparse.Namespace) -> dict:
         unknown = set(raw) - set(keys)
         if unknown:
             raise ValueError(f"unknown config keys for {args.command}: {sorted(unknown)}")
+        for key, val in raw.items():
+            _check_config_type(key, val)
         cfg.update(raw)
     for key in keys:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
     return cfg
+
+
+def _check_config_type(key: str, val) -> None:
+    """Reject a config value the flag's type would not produce."""
+    kind = _OPTIONS[key][1]
+    if kind is None:  # `lattice` is validated where it is read
+        return
+    accepted = (int, float) if kind is float else kind
+    if isinstance(val, bool) or not isinstance(val, accepted):
+        raise ValueError(
+            f"config key {key!r} must be {kind.__name__}, got {type(val).__name__}"
+        )
 
 
 def _make_sde_config(cfg: dict) -> SdeConfig:

@@ -548,6 +548,7 @@ def drift_report(state: FieldState, atol: float = 1e-10) -> StatReport:
 
 
 def _check_drift(seed: int, n_samples: int | None) -> list:
+    # A fixed-size check: one field of 1000 steps, whatever n_samples says.
     from .sde import sample_field
 
     cfg = default_config(n_steps=1000, seed=seed)
@@ -557,40 +558,40 @@ def _check_drift(seed: int, n_samples: int | None) -> list:
 
 def _check_character(seed: int, n_samples: int | None) -> list:
     cfg = default_config(n_steps=256, seed=seed)
-    return [character_test(cfg, n_samples=n_samples or 200_000)]
+    return [character_test(cfg, n_samples=200_000 if n_samples is None else n_samples)]
 
 
 def _check_covariance(seed: int, n_samples: int | None) -> list:
     cfg = default_config(n_steps=32, t_end=0.05, seed=seed)
     h = cfg.spec.basis.grid.spacing
     pairs = [(np.array([0.0]), np.array([sep * h])) for sep in (0, 4, 8, 12)]
-    return covariance_test(cfg, pairs, n_samples=n_samples or 100_000)
+    return covariance_test(cfg, pairs, n_samples=100_000 if n_samples is None else n_samples)
 
 
 def _check_weak_order(seed: int, n_samples: int | None) -> list:
     cfg = default_config(n_steps=64, seed=seed)
-    return [weak_order_test(cfg, n_samples=n_samples or 1_000_000)]
+    return [weak_order_test(cfg, n_samples=1_000_000 if n_samples is None else n_samples)]
 
 
 def _check_strong_order(seed: int, n_samples: int | None) -> list:
     cfg = default_config(n_steps=1024, seed=seed)
-    return [strong_convergence_test(cfg, n_samples=n_samples or 4096)]
+    return [strong_convergence_test(cfg, n_samples=4096 if n_samples is None else n_samples)]
 
 
 def _check_regularity(seed: int, n_samples: int | None) -> list:
-    return regularity_probe(seed=seed, n_samples=n_samples or 4096)
+    return regularity_probe(seed=seed, n_samples=4096 if n_samples is None else n_samples)
 
 
 def _check_cocycle(seed: int, n_samples: int | None) -> list:
     from .cocycle_checks import cocycle_suite
 
-    return cocycle_suite(seed=seed, n_triples=n_samples or 100)
+    return cocycle_suite(seed=seed, n_triples=100 if n_samples is None else n_samples)
 
 
 def _check_haar(seed: int, n_samples: int | None) -> list:
     from .cocycle_checks import haar_suite
 
-    return haar_suite(seed=seed, n_samples=n_samples or 10_000)
+    return haar_suite(seed=seed, n_samples=10_000 if n_samples is None else n_samples)
 
 
 CHECK_NAMES = {
@@ -606,9 +607,15 @@ CHECK_NAMES = {
 
 
 def run_check(name: str, seed: int = 0, n_samples: int | None = None) -> list:
-    """Run one named diagnostic; returns its StatReport list."""
+    """Run one named diagnostic; returns its StatReport list.
+
+    n_samples None runs the check at its acceptance size; `drift` has a
+    fixed size and ignores n_samples.
+    """
     if name not in CHECK_NAMES:
         raise KeyError(
             f"unknown check {name!r}; available: {', '.join(sorted(CHECK_NAMES))}"
         )
+    if n_samples is not None and n_samples < 1:
+        raise ValueError(f"samples must be >= 1, got {n_samples}")
     return CHECK_NAMES[name](seed, n_samples)

@@ -10,6 +10,8 @@ by construction and has weak order one.
 and in `diagnostics`, advances its batch of group elements through it and
 differs only in the increments it supplies.  `brownian.synthesize` is the
 single synthesis path for increments built from the spectral basis.
+`sample_ensemble` flows blocks of samples as one (*grid, sample, n, n)
+batch; `sample_field` is the same code for one sample.
 
 Two sampling routes exist on purpose.  `sample_field` integrates the full
 grid field.  `sample_marginal` integrates only a chosen subset of points:
@@ -46,8 +48,10 @@ __all__ = [
 ]
 
 
-# Samples per batch in the batched samplers; fixes the draw order, so it is
-# part of what makes their output reproducible.
+# Group elements per batch in the batched samplers.  Where one stream feeds
+# the whole batch it fixes the draw order, so it is part of what makes their
+# output reproducible; `sample_ensemble` draws per sample and does not depend
+# on it.
 CHUNK = 50_000
 
 
@@ -152,6 +156,21 @@ def step(state: FieldState, incr: AlgebraField, dt: float) -> FieldState:
     return FieldState(grid=state.grid, mats=mats, t=state.t + dt)
 
 
+def _flow_field(cfg: SdeConfig, streams, g0: np.ndarray) -> np.ndarray:
+    """Flow g0 on the grid for cfg.n_steps steps of synthesized noise.
+
+    One stream gives g0 of shape (*grid.shape, n, n); a sequence of streams,
+    one per sample, gives (*grid.shape, n_samples, n, n).
+    """
+    dt = cfg.dt
+    return flow(
+        cfg.spec.lie,
+        g0,
+        cfg.n_steps,
+        lambda _: sample_increment(cfg.spec, dt, streams).coeffs,
+    )
+
+
 def sample_field(
     cfg: SdeConfig,
     stream: RngStream | None = None,
@@ -165,19 +184,11 @@ def sample_field(
     if stream is None:
         stream = substream(cfg.seed, 0)
     grid = cfg.spec.basis.grid
-    g0 = initial.mats if initial is not None else initial_state(grid, cfg.spec.lie.n).mats
-    dt = cfg.dt
-    mats = flow(
-        cfg.spec.lie,
-        g0,
-        cfg.n_steps,
-        lambda _: sample_increment(cfg.spec, dt, stream).coeffs,
-    )
-    return FieldState(grid=grid, mats=mats, t=cfg.t_end)
-
-
-def _one_sample(cfg: SdeConfig, index: int) -> np.ndarray:
-    return sample_field(cfg, stream=substream(cfg.seed, index)).mats
+    n = cfg.spec.lie.n
+    g0 = np.broadcast_to(np.eye(n, dtype=complex), grid.shape + (n, n))
+    if initial is not None:
+        g0 = initial.mats
+    return FieldState(grid=grid, mats=_flow_field(cfg, stream, g0), t=cfg.t_end)
 
 
 @dataclass(frozen=True)
@@ -195,21 +206,35 @@ class EnsembleHandle:
 def sample_ensemble(cfg: SdeConfig, n_samples: int, n_workers: int = 1) -> EnsembleHandle:
     """n_samples independent terminal fields, sample i from substream(seed, i).
 
-    The per-sample streams make the content a pure function of (cfg, i);
-    workers only change scheduling, never bytes.
+    Samples flow in blocks of max(1, CHUNK // n_points), each block as one
+    batch; `n_workers` threads run blocks concurrently.  Every sample's
+    noise comes from its own stream and is synthesized column by column,
+    so sample i equals `sample_field` on substream(seed, i) bit for bit,
+    whatever the block size or the worker count.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    if n_workers < 1:
+        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
     grid = cfg.spec.basis.grid
     n = cfg.spec.lie.n
+    block = max(1, CHUNK // grid.n_points)
     out = np.empty((n_samples,) + grid.shape + (n, n), dtype=complex)
-    if n_workers <= 1:
-        for i in range(n_samples):
-            out[i] = _one_sample(cfg, i)
+    eye = np.eye(n, dtype=complex)
+
+    def run_block(lo: int) -> None:
+        hi = min(lo + block, n_samples)
+        streams = [substream(cfg.seed, i) for i in range(lo, hi)]
+        g0 = np.broadcast_to(eye, grid.shape + (hi - lo, n, n))
+        out[lo:hi] = np.moveaxis(_flow_field(cfg, streams, g0), grid.dim, 0)
+
+    starts = range(0, n_samples, block)
+    if n_workers == 1:  # no thread: a worker thread's stack and arena cost ~1 MB RSS
+        for lo in starts:
+            run_block(lo)
     else:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            for i, mats in enumerate(pool.map(lambda j: _one_sample(cfg, j), range(n_samples))):
-                out[i] = mats
+            list(pool.map(run_block, starts))  # reading each result re-raises its error
     return EnsembleHandle(cfg=cfg, mats=out)
 
 

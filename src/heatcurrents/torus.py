@@ -5,6 +5,11 @@ with a canonical sign representative (first nonzero component positive).
 Each nonzero representative carries a cosine and a sine mode; the zero
 vector carries the constant mode.  All modes are L2-normalized so that
 integrating e_m * e_m' over the torus gives delta_{mm'}.
+
+The basis is never tabulated on the grid.  `SpectralBasis` records where
+each mode sits in the grid's half spectrum (the layout `irfftn` reads), so
+a sum over modes is one inverse real FFT (`brownian.synthesize`);
+`SpectralBasis.evaluate` tabulates modes at off-grid points on demand.
 """
 
 from __future__ import annotations
@@ -57,6 +62,11 @@ class TorusGrid:
     def spacing(self) -> float:
         return TWO_PI / self.points_per_axis
 
+    @property
+    def half_shape(self) -> tuple:
+        """Shape of a real field's half spectrum: last axis 0 .. P/2."""
+        return self.shape[:-1] + (self.points_per_axis // 2 + 1,)
+
     def axes(self) -> np.ndarray:
         return np.arange(self.points_per_axis) * self.spacing
 
@@ -76,14 +86,8 @@ def _canonical_representatives(dim: int, max_mode: int) -> np.ndarray:
     rng = np.arange(-max_mode, max_mode + 1)
     grids = np.meshgrid(*([rng] * dim), indexing="ij")
     all_m = np.stack([g.ravel() for g in grids], axis=-1)
-    keep = []
-    for m in all_m:
-        nz = m[m != 0]
-        if nz.size == 0:
-            continue
-        if nz[0] > 0:
-            keep.append(m)
-    reps = np.array(keep, dtype=int)
+    first_nonzero = all_m[np.arange(len(all_m)), np.argmax(all_m != 0, axis=1)]
+    reps = all_m[first_nonzero > 0]
     order = np.lexsort(tuple(reps[:, i] for i in reversed(range(dim))))
     reps = reps[order]
     order = np.argsort(np.sum(reps * reps, axis=1), kind="stable")
@@ -104,22 +108,34 @@ class SpectralBasis:
     eigenvalues : float array, shape (n_modes,)
         |m|^2 per basis function, constant mode first, then for each
         representative its cosine mode followed by its sine mode.
-    values : float array, shape (n_modes, *grid.shape)
-        Basis functions tabulated on the grid.
+    half_cells, half_sources : int arrays, shape (n_cells,)
+        Half-spectrum placement of the modes: flat index
+        ``half_cells[j]`` of an array of shape ``grid.half_shape`` receives
+        entry ``half_sources[j]`` of the complex coefficients
+        ``[c_0, c_1 .. c_R, conj(c_1) .. conj(c_R)]``, where c_0 is the
+        constant mode's and c_r that of representative r at +m_r.  A
+        representative goes to +m_r if its last component is positive and
+        as a conjugate to -m_r if negative; one with last component 0 goes
+        to both, since the inverse real FFT keeps only the real part there.
     """
 
     grid: TorusGrid
     max_mode: int
     frequencies: np.ndarray
     eigenvalues: np.ndarray
-    values: np.ndarray
+    half_cells: np.ndarray
+    half_sources: np.ndarray
 
     @property
     def n_modes(self) -> int:
         return self.eigenvalues.shape[0]
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """Tabulate all basis functions at arbitrary points (..., dim)."""
+        """Tabulate all basis functions at arbitrary points (..., dim).
+
+        Returns (n_modes, ...).  Meant for a few off-grid points; on the
+        grid, `brownian.synthesize` sums the modes without a table.
+        """
         points = np.asarray(points, dtype=float)
         if points.shape[-1] != self.grid.dim:
             raise ValueError(
@@ -139,11 +155,12 @@ def build_grid(dim: int, points_per_axis: int) -> TorusGrid:
 
 
 def build_spectrum(dim: int, points_per_axis: int, max_mode: int) -> SpectralBasis:
-    """Tabulated eigenbasis; requires points_per_axis > 2*max_mode.
+    """Eigenbasis up to max_mode; requires points_per_axis > 2*max_mode.
 
     The strict inequality keeps every retained mode below the grid Nyquist
-    frequency, so tabulated modes stay orthonormal under the grid quadrature
-    and FFT derivatives of basis functions are exact.
+    frequency, so modes stay orthonormal under the grid quadrature, FFT
+    derivatives of basis functions are exact, and no two modes share a
+    half-spectrum cell.
     """
     grid = TorusGrid(dim=dim, points_per_axis=points_per_axis)
     if max_mode < 0:
@@ -157,7 +174,8 @@ def build_spectrum(dim: int, points_per_axis: int, max_mode: int) -> SpectralBas
         reps = np.zeros((0, grid.dim), dtype=int)
     else:
         reps = _canonical_representatives(grid.dim, max_mode)
-    n_modes = 1 + 2 * reps.shape[0]
+    n_pairs = reps.shape[0]
+    n_modes = 1 + 2 * n_pairs
 
     eigs = np.empty(n_modes)
     eigs[0] = 0.0
@@ -165,21 +183,28 @@ def build_spectrum(dim: int, points_per_axis: int, max_mode: int) -> SpectralBas
     eigs[1::2] = pair_eigs
     eigs[2::2] = pair_eigs
 
-    norm = TWO_PI ** (-0.5 * grid.dim)
-    coords = grid.coordinates()
-    values = np.empty((n_modes,) + grid.shape)
-    values[0] = norm
-    if reps.shape[0] > 0:
-        phases = np.tensordot(reps.astype(float), coords, axes=(1, -1))
-        values[1::2] = np.sqrt(2.0) * norm * np.cos(phases)
-        values[2::2] = np.sqrt(2.0) * norm * np.sin(phases)
+    p = grid.points_per_axis
+    last = reps[:, -1]
+    flip = last < 0
+    pair_ids = np.arange(1, n_pairs + 1)
+    mirror = last == 0
 
+    def cells(m):
+        return np.ravel_multi_index(tuple((m % p).T), grid.half_shape)
+
+    half_cells = np.concatenate(
+        [[0], cells(np.where(flip[:, None], -reps, reps)), cells(-reps[mirror])]
+    )
+    half_sources = np.concatenate(
+        [[0], pair_ids + n_pairs * flip, pair_ids[mirror] + n_pairs]
+    )
     return SpectralBasis(
         grid=grid,
         max_mode=max_mode,
         frequencies=reps,
         eigenvalues=eigs,
-        values=values,
+        half_cells=half_cells.astype(np.intp),
+        half_sources=half_sources.astype(np.intp),
     )
 
 

@@ -1,5 +1,7 @@
 """Karhunen-Loeve increment sampling against the closed covariance sums."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -163,3 +165,27 @@ def test_gram_sqrt():
     assert np.max(np.abs(root @ root - gram)) < 1e-10
     with pytest.raises(ValueError):
         gram_sqrt(-np.eye(3))
+
+
+def test_d3_increment_without_a_table():
+    # a dense (n_modes, P^3) table at d=3, P=64, M=16 would take 75 GB
+    tracemalloc.start()
+    try:
+        spec = make_spec(p=64, m=16, d=3)
+        incr = sample_increment(spec, 1e-3, substream(0, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert incr.coeffs.shape == (64, 64, 64, 3)
+    assert peak < 256e6
+
+
+def test_increment_per_sample_streams():
+    # one stream per sample: column s equals the lone-stream increment of
+    # stream s bit for bit, and each stream advances as it would alone
+    spec = make_spec(p=16, m=5, d=2)
+    batch = sample_increment(spec, 0.1, [substream(4, i) for i in range(3)]).coeffs
+    assert batch.shape == (16, 16, 3, 3)
+    for i in range(3):
+        alone = sample_increment(spec, 0.1, substream(4, i)).coeffs
+        assert batch[:, :, i].tobytes() == alone.tobytes()

@@ -157,6 +157,42 @@ def test_verify_honours_config_samples(tmp_path, capsys):
     assert counts["cocycle_cyclic"] == 7
 
 
+def test_config_values_are_type_checked(tmp_path, capsys):
+    cases = (
+        ("sample", {"grid": "32"}, "config key 'grid' must be int, got str"),
+        ("sample", {"steps": 4.0}, "config key 'steps' must be int, got float"),
+        ("sample", {"seed": True}, "config key 'seed' must be int, got bool"),
+        ("sample", {"t_end": "1"}, "config key 't_end' must be float, got str"),
+        ("ensemble", {"workers": None}, "config key 'workers' must be int, got NoneType"),
+        ("verify", {"out": 3}, "config key 'out' must be str, got int"),
+    )
+    for command, raw, message in cases:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        rc, _, err = run([command, "--config", str(cfg), "--out", str(tmp_path / "o")], capsys)
+        assert rc == 1, raw
+        assert err == f"error: {message}\n"
+    # t_end takes an int as well as a float
+    cfg.write_text(json.dumps({"t_end": 1, "grid": 16, "modes": 3, "steps": 2}))
+    rc, _, _ = run(["sample", "--config", str(cfg), "--out", str(tmp_path / "o")], capsys)
+    assert rc == 0
+    assert read_ensemble(str(tmp_path / "o"))[0].t_end == 1.0
+
+
+def test_counts_below_one_rejected(tmp_path, capsys):
+    small = ["--grid", "16", "--modes", "3", "--steps", "2"]
+    for argv in (
+        ["verify", "--check", "haar", "--samples", "0"],
+        ["verify", "--check", "drift", "--samples", "-1"],
+        ["ensemble", *small, "--workers", "0", "--out", str(tmp_path / "w0")],
+        ["ensemble", *small, "--workers", "-3", "--out", str(tmp_path / "w3")],
+    ):
+        rc, out, err = run(argv, capsys)
+        assert rc == 1, argv
+        assert out == "" and err.startswith("error:") and "must be >= 1" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"gird": 32}))

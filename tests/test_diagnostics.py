@@ -146,7 +146,7 @@ def test_fd_variance_target_oracle():
         spec = CovarianceSpec(k=k, basis=build_spectrum(1, 32, 8), lie=lie)
         grid = spec.basis.grid
         t = 0.37
-        vals = spec.basis.values  # (modes, P)
+        vals = spec.basis.evaluate(grid.coordinates())  # (modes, P)
         fd = vals.copy()
         for _ in range(r):
             fd = (np.roll(fd, -1, axis=1) - fd) / grid.spacing

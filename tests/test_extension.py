@@ -34,7 +34,7 @@ def band_limited(grid, stream, m_max=5, scale=1.0):
     """Random real trig polynomial per algebra direction, modes <= m_max."""
     basis = build_spectrum(grid.dim, grid.points_per_axis, m_max)
     coef = scale * stream.normal(size=(basis.n_modes, LIE2.dim))
-    coeffs = np.tensordot(basis.values, coef, axes=(0, 0))
+    coeffs = np.tensordot(basis.evaluate(grid.coordinates()), coef, axes=(0, 0))
     return AlgebraField(coeffs=coeffs, lie=LIE2)
 
 

@@ -24,8 +24,8 @@ from heatcurrents.torus import build_grid, build_spectrum
 LIE2 = build_basis(2)
 
 
-def make_cfg(k=2, p=16, m=3, d=1, n_steps=8, t_end=1.0, seed=0):
-    spec = CovarianceSpec(k=k, basis=build_spectrum(d, p, m), lie=LIE2)
+def make_cfg(k=2, p=16, m=3, d=1, n_steps=8, t_end=1.0, seed=0, n=2):
+    spec = CovarianceSpec(k=k, basis=build_spectrum(d, p, m), lie=build_basis(n))
     return SdeConfig(spec=spec, n_steps=n_steps, t_end=t_end, seed=seed)
 
 
@@ -144,10 +144,28 @@ def test_ensemble_worker_count_irrelevant():
     assert np.array_equal(serial.mats, pooled.mats)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("d,p", [(1, 16), (2, 8)])
+def test_ensemble_bytes_independent_of_blocks_and_workers(monkeypatch, n, d, p):
+    cfg = make_cfg(p=p, d=d, n_steps=4, seed=12, n=n)
+    one_block = sample_ensemble(cfg, n_samples=7).mats.tobytes()
+    # CHUNK of 2 fields gives blocks of 2, 2, 2, 1 samples
+    monkeypatch.setattr(sde, "CHUNK", 2 * p**d)
+    for workers in (1, 2, 3):
+        assert sample_ensemble(cfg, n_samples=7, n_workers=workers).mats.tobytes() == one_block
+    handle = sample_ensemble(cfg, n_samples=7, n_workers=2)
+    for i in range(7):
+        direct = sample_field(cfg, stream=substream(12, i))
+        assert handle.mats[i].tobytes() == direct.mats.tobytes()
+
+
 def test_ensemble_rejects_bad_counts():
     cfg = make_cfg()
     with pytest.raises(ValueError):
         sample_ensemble(cfg, n_samples=0)
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="n_workers"):
+            sample_ensemble(cfg, n_samples=2, n_workers=workers)
 
 
 def test_drift_small_after_many_steps():

@@ -3,7 +3,10 @@ derivative against finite-difference oracles."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from heatcurrents.brownian import synthesize
 from heatcurrents.torus import (
     TorusGrid,
     build_grid,
@@ -59,10 +62,11 @@ def test_aliasing_rejected():
 def test_quadrature_volume_and_orthonormality():
     basis = build_spectrum(1, 32, 5)
     grid = basis.grid
+    values = basis.evaluate(grid.coordinates())
     assert quadrature(grid, np.ones(grid.shape)) == pytest.approx(TWO_PI)
     gram = np.array(
         [
-            [quadrature(grid, basis.values[i] * basis.values[j]) for j in range(basis.n_modes)]
+            [quadrature(grid, values[i] * values[j]) for j in range(basis.n_modes)]
             for i in range(basis.n_modes)
         ]
     )
@@ -72,9 +76,10 @@ def test_quadrature_volume_and_orthonormality():
 def test_quadrature_orthonormality_d2():
     basis = build_spectrum(2, 8, 1)
     grid = basis.grid
+    values = basis.evaluate(grid.coordinates())
     for i in range(basis.n_modes):
         for j in range(basis.n_modes):
-            val = quadrature(grid, basis.values[i] * basis.values[j])
+            val = quadrature(grid, values[i] * values[j])
             assert abs(val - (1.0 if i == j else 0.0)) < 1e-10
 
 
@@ -82,8 +87,9 @@ def test_rayleigh_quotients_match_eigenvalues():
     # second spectral derivative oracle: -f'' / f integrates to lambda
     basis = build_spectrum(1, 32, 4)
     grid = basis.grid
+    values = basis.evaluate(grid.coordinates())
     for i in range(basis.n_modes):
-        f = basis.values[i]
+        f = values[i]
         d2 = spectral_derivative(grid, spectral_derivative(grid, f)[0])[0]
         lam = quadrature(grid, -d2 * f)  # modes are L2-normalized
         assert lam == pytest.approx(basis.eigenvalues[i], abs=1e-9)
@@ -105,8 +111,9 @@ def test_spectral_derivative_constant_and_linearity():
     assert np.max(np.abs(spectral_derivative(grid, np.ones(16)))) == 0.0
     rng = np.random.default_rng(7)
     basis = build_spectrum(1, 16, 5)
-    f = np.tensordot(rng.normal(size=basis.n_modes), basis.values, axes=(0, 0))
-    g = np.tensordot(rng.normal(size=basis.n_modes), basis.values, axes=(0, 0))
+    values = basis.evaluate(grid.coordinates())
+    f = np.tensordot(rng.normal(size=basis.n_modes), values, axes=(0, 0))
+    g = np.tensordot(rng.normal(size=basis.n_modes), values, axes=(0, 0))
     lhs = spectral_derivative(grid, f + g)
     rhs = spectral_derivative(grid, f) + spectral_derivative(grid, g)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
@@ -117,7 +124,8 @@ def test_mixed_partials_commute_d2():
     basis = build_spectrum(2, 16, 3)
     grid = basis.grid
     rng = np.random.default_rng(8)
-    f = np.tensordot(rng.normal(size=basis.n_modes), basis.values, axes=(0, 0))
+    values = basis.evaluate(grid.coordinates())
+    f = np.tensordot(rng.normal(size=basis.n_modes), values, axes=(0, 0))
     first = spectral_derivative(grid, f)
     dxy = spectral_derivative(grid, first[0])[1]
     dyx = spectral_derivative(grid, first[1])[0]
@@ -129,15 +137,42 @@ def test_parseval():
     grid = basis.grid
     rng = np.random.default_rng(9)
     c = rng.normal(size=basis.n_modes)
-    f = np.tensordot(c, basis.values, axes=(0, 0))
+    f = np.tensordot(c, basis.evaluate(grid.coordinates()), axes=(0, 0))
     assert quadrature(grid, f * f) == pytest.approx(np.sum(c * c), abs=1e-8)
 
 
-def test_evaluate_matches_tabulated():
-    basis = build_spectrum(2, 8, 2)
-    pts = basis.grid.coordinates().reshape(-1, 2)
-    vals = basis.evaluate(pts)
-    assert np.max(np.abs(vals - basis.values.reshape(basis.n_modes, -1))) < 1e-12
+# Largest grid per dimension at which the evaluate() oracle table stays small.
+_ORACLE_GRIDS = {1: (4, 8, 16, 32, 64), 2: (4, 8, 16, 32), 3: (4, 8)}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_synthesize_matches_evaluate(d, data):
+    p = data.draw(st.sampled_from(_ORACLE_GRIDS[d]), label="P")
+    m = data.draw(st.integers(0, p // 2 - 1), label="M")
+    batch = tuple(data.draw(st.lists(st.integers(1, 3), max_size=2), label="batch"))
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    basis = build_spectrum(d, p, m)
+    values = basis.evaluate(basis.grid.coordinates())  # (n_modes, *shape)
+    # unit amplitudes: column j of the synthesis is basis function j
+    unit = synthesize(basis, np.eye(basis.n_modes))
+    assert np.max(np.abs(np.moveaxis(unit, -1, 0) - values)) < 1e-13
+    amp = np.random.default_rng(seed).normal(size=(basis.n_modes,) + batch)
+    got = synthesize(basis, amp)
+    assert got.shape == basis.grid.shape + batch
+    want = np.tensordot(values, amp, axes=(0, 0))
+    assert np.max(np.abs(got - want)) < 1e-13 * max(1.0, np.abs(amp).sum(axis=0).max())
+
+
+def test_spectrum_keeps_no_table():
+    basis = build_spectrum(2, 16, 5)
+    assert not hasattr(basis, "values")
+    # one cell per mode pair, two for pairs with last component 0, plus m = 0
+    n_pairs = basis.frequencies.shape[0]
+    n_zero_last = int(np.sum(basis.frequencies[:, -1] == 0))
+    assert basis.half_cells.shape == (1 + n_pairs + n_zero_last,)
+    assert len(np.unique(basis.half_cells)) == basis.half_cells.size
 
 
 def test_evaluate_rejects_wrong_dimension():
