@@ -77,23 +77,25 @@ def synthesize(basis: SpectralBasis, amp: np.ndarray) -> np.ndarray:
     """Karhunen-Loeve sum on the grid: sum_m amp[m] e_m(S), by inverse FFT.
 
     amp has the modes on its leading axis, (n_modes, *batch); the result is
-    (*grid.shape, *batch).  A cosine/sine pair (a_c, a_s) at frequency m is
-    the complex coefficient (2pi)^{-d/2} (a_c - i a_s) / sqrt(2) at +m plus
-    its conjugate at -m; the modes are placed into the half spectrum at
-    `basis.half_cells` and inverted without normalization.  Every column of
-    the batch is transformed on its own, so a column's result does not
-    depend on the batch it travels in.  This is the one synthesis path.
+    (*grid.shape, *batch).  Mode j contributes amp[j] * basis.values[j] at
+    +m and, for m != 0, the conjugate at -m.  Cosine coefficients are real and sine
+    coefficients imaginary, so a cosine/sine pair (a_c, a_s) at m becomes
+    the coefficient (2pi)^{-d/2} (a_c - i a_s) / sqrt2, assembled part by
+    part; the pairs are placed into the half spectrum at `basis.half_cells`
+    and inverted without normalization.  Every column of the batch is
+    transformed on its own, so a column's result does not depend on the
+    batch it travels in.  This is the one synthesis path.
     """
     amp = np.asarray(amp, dtype=float)
     grid = basis.grid
     batch = amp.shape[1:]
     n_pairs = basis.frequencies.shape[0]
-    norm = (2.0 * np.pi) ** (-0.5 * grid.dim)
+    scale = basis.values.reshape((-1,) + (1,) * len(batch))
     coef = np.empty((1 + 2 * n_pairs,) + batch, dtype=complex)
-    coef[0] = norm * amp[0]
+    coef[0] = scale[0].real * amp[0]
     pairs = coef[1 : n_pairs + 1]
-    np.multiply(amp[1::2], np.sqrt(0.5) * norm, out=pairs.real)
-    np.multiply(amp[2::2], -np.sqrt(0.5) * norm, out=pairs.imag)
+    np.multiply(amp[1::2], scale[1::2].real, out=pairs.real)
+    np.multiply(amp[2::2], scale[2::2].imag, out=pairs.imag)
     np.conjugate(pairs, out=coef[n_pairs + 1 :])
     half = np.zeros((math.prod(grid.half_shape),) + batch, dtype=complex)
     half[basis.half_cells] = coef[basis.half_sources]

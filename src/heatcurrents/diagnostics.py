@@ -20,7 +20,7 @@ from .brownian import CovarianceSpec, covariance_kernel, synthesize
 from .lie import LieBasis, build_basis, log_batch
 from .lie import exp_batch  # noqa: F401  unused here; bench/spans.py traces this name
 from .rng import RngStream, diagnostic_stream
-from .sde import CHUNK, FieldState, SdeConfig, flow, sample_marginal
+from .sde import CHUNK, FieldState, SdeConfig, flow, identity, sample_marginal
 from .torus import build_spectrum
 
 __all__ = [
@@ -295,8 +295,7 @@ def _coarse_terminal(lie: LieBasis, incr: np.ndarray, n_steps: int) -> np.ndarra
     fine increments incr (m, n_fine, dim_g): the common-random-number path."""
     m, n_fine, dim_g = incr.shape
     coarse = incr.reshape(m, n_steps, n_fine // n_steps, dim_g).sum(axis=2)
-    g0 = np.broadcast_to(np.eye(lie.n, dtype=complex), (m, lie.n, lie.n))
-    return flow(lie, g0, n_steps, lambda s: coarse[:, s, :])
+    return flow(lie, identity((m,), lie.n), n_steps, lambda s: coarse[:, s, :])
 
 
 def weak_order_test(
@@ -457,8 +456,7 @@ def _sample_log_fields(
         xi *= amp[np.newaxis, :, np.newaxis]
         return synthesize(spec.basis, xi.transpose(1, 0, 2))
 
-    g0 = np.broadcast_to(np.eye(n, dtype=complex), spec.basis.grid.shape + (n_samples, n, n))
-    g = flow(spec.lie, g0, n_steps, draw)
+    g = flow(spec.lie, identity(spec.basis.grid.shape + (n_samples,), n), n_steps, draw)
     return np.moveaxis(log_batch(spec.lie, g), -2, 0)
 
 

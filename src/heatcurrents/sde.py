@@ -40,6 +40,7 @@ __all__ = [
     "EnsembleHandle",
     "CHUNK",
     "flow",
+    "identity",
     "initial_state",
     "step",
     "sample_field",
@@ -144,10 +145,14 @@ class SdeConfig:
         return self.t_end / self.n_steps
 
 
+def identity(shape: tuple, n: int) -> np.ndarray:
+    """Read-only identity batch (*shape, n, n): the starting point of a flow."""
+    return np.broadcast_to(np.eye(n, dtype=complex), tuple(shape) + (n, n))
+
+
 def initial_state(grid: TorusGrid, group_n: int = 2) -> FieldState:
     """Identity at every grid point, t = 0."""
-    mats = np.broadcast_to(np.eye(group_n, dtype=complex), grid.shape + (group_n, group_n))
-    return FieldState(grid=grid, mats=mats.copy(), t=0.0)
+    return FieldState(grid=grid, mats=identity(grid.shape, group_n).copy(), t=0.0)
 
 
 def step(state: FieldState, incr: AlgebraField, dt: float) -> FieldState:
@@ -184,10 +189,7 @@ def sample_field(
     if stream is None:
         stream = substream(cfg.seed, 0)
     grid = cfg.spec.basis.grid
-    n = cfg.spec.lie.n
-    g0 = np.broadcast_to(np.eye(n, dtype=complex), grid.shape + (n, n))
-    if initial is not None:
-        g0 = initial.mats
+    g0 = identity(grid.shape, cfg.spec.lie.n) if initial is None else initial.mats
     return FieldState(grid=grid, mats=_flow_field(cfg, stream, g0), t=cfg.t_end)
 
 
@@ -220,12 +222,11 @@ def sample_ensemble(cfg: SdeConfig, n_samples: int, n_workers: int = 1) -> Ensem
     n = cfg.spec.lie.n
     block = max(1, CHUNK // grid.n_points)
     out = np.empty((n_samples,) + grid.shape + (n, n), dtype=complex)
-    eye = np.eye(n, dtype=complex)
 
     def run_block(lo: int) -> None:
         hi = min(lo + block, n_samples)
         streams = [substream(cfg.seed, i) for i in range(lo, hi)]
-        g0 = np.broadcast_to(eye, grid.shape + (hi - lo, n, n))
+        g0 = identity(grid.shape + (hi - lo,), n)
         out[lo:hi] = np.moveaxis(_flow_field(cfg, streams, g0), grid.dim, 0)
 
     starts = range(0, n_samples, block)
@@ -264,13 +265,12 @@ def sample_marginal(
     root = gram_sqrt(cfg.dt * kernel_gram(cfg.spec, points))
 
     out = np.empty((n_samples, n_pts, n, n), dtype=complex)
-    eye = np.eye(n, dtype=complex)
     for lo in range(0, n_samples, CHUNK):
         hi = min(lo + CHUNK, n_samples)
         size = (hi - lo, n_pts, dim_g)
         out[lo:hi] = flow(
             cfg.spec.lie,
-            np.broadcast_to(eye, (hi - lo, n_pts, n, n)),
+            identity((hi - lo, n_pts), n),
             cfg.n_steps,
             lambda _: np.einsum("ij,sja->sia", root, stream.normal(size=size)),
         )

@@ -6,9 +6,10 @@ Each nonzero representative carries a cosine and a sine mode; the zero
 vector carries the constant mode.  All modes are L2-normalized so that
 integrating e_m * e_m' over the torus gives delta_{mm'}.
 
-The basis is never tabulated on the grid.  `SpectralBasis` records where
-each mode sits in the grid's half spectrum (the layout `irfftn` reads), so
-a sum over modes is one inverse real FFT (`brownian.synthesize`);
+The basis is never tabulated on the grid.  On the grid each mode is a
+single Fourier coefficient, so `SpectralBasis` keeps that coefficient and
+the cell of the grid's half spectrum (the layout `irfftn` reads) it sits
+in, and a sum over modes is one inverse real FFT (`brownian.synthesize`);
 `SpectralBasis.evaluate` tabulates modes at off-grid points on demand.
 """
 
@@ -108,6 +109,13 @@ class SpectralBasis:
     eigenvalues : float array, shape (n_modes,)
         |m|^2 per basis function, constant mode first, then for each
         representative its cosine mode followed by its sine mode.
+    values : complex array, shape (n_modes,)
+        The basis on the grid in Fourier space: the coefficient a unit
+        amplitude of each mode puts at +m in an unnormalized inverse DFT,
+        (2pi)^{-d/2} for the constant mode, (2pi)^{-d/2}/sqrt2 for a cosine
+        and -i (2pi)^{-d/2}/sqrt2 for a sine (the conjugate goes to -m).
+        This replaces a table of grid values, which would have shape
+        (n_modes, P^d).
     half_cells, half_sources : int arrays, shape (n_cells,)
         Half-spectrum placement of the modes: flat index
         ``half_cells[j]`` of an array of shape ``grid.half_shape`` receives
@@ -123,6 +131,7 @@ class SpectralBasis:
     max_mode: int
     frequencies: np.ndarray
     eigenvalues: np.ndarray
+    values: np.ndarray
     half_cells: np.ndarray
     half_sources: np.ndarray
 
@@ -183,6 +192,12 @@ def build_spectrum(dim: int, points_per_axis: int, max_mode: int) -> SpectralBas
     eigs[1::2] = pair_eigs
     eigs[2::2] = pair_eigs
 
+    values = np.empty(n_modes, dtype=complex)
+    norm = TWO_PI ** (-0.5 * grid.dim)
+    values[0] = norm
+    values[1::2] = np.sqrt(0.5) * norm
+    values[2::2] = -1j * (np.sqrt(0.5) * norm)
+
     p = grid.points_per_axis
     last = reps[:, -1]
     flip = last < 0
@@ -203,6 +218,7 @@ def build_spectrum(dim: int, points_per_axis: int, max_mode: int) -> SpectralBas
         max_mode=max_mode,
         frequencies=reps,
         eigenvalues=eigs,
+        values=values,
         half_cells=half_cells.astype(np.intp),
         half_sources=half_sources.astype(np.intp),
     )

@@ -167,7 +167,18 @@ def test_synthesize_matches_evaluate(d, data):
 
 def test_spectrum_keeps_no_table():
     basis = build_spectrum(2, 16, 5)
-    assert not hasattr(basis, "values")
+    # no array of the basis grows with the grid: one Fourier coefficient per mode
+    arrays = [v for v in vars(basis).values() if isinstance(v, np.ndarray)]
+    assert max(a.size for a in arrays) < basis.grid.n_points
+    assert basis.values.shape == (basis.n_modes,)
+    # a unit amplitude of mode j synthesizes to twice the real part of
+    # values[j] e^{i m.S}, which is basis function j
+    pts = basis.grid.coordinates()
+    m = np.concatenate([np.zeros((1, 2), int), np.repeat(basis.frequencies, 2, axis=0)])
+    waves = np.exp(1j * np.tensordot(m.astype(float), pts, axes=(1, -1)))
+    mult = np.where(np.arange(basis.n_modes) == 0, 1.0, 2.0)
+    want = mult[:, None, None] * np.real(basis.values[:, None, None] * waves)
+    assert np.max(np.abs(want - basis.evaluate(pts))) < 1e-13
     # one cell per mode pair, two for pairs with last component 0, plus m = 0
     n_pairs = basis.frequencies.shape[0]
     n_zero_last = int(np.sum(basis.frequencies[:, -1] == 0))
