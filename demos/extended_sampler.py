@@ -20,14 +20,16 @@ from heatcurrents import (
 cfg = default_config(p=16, m_max=3, n_steps=32)
 lattice = LatticeSpec.identity(3)
 
-ext = sample_extension(cfg, lattice, index=0)
-print("field part:   grid of", ext.field.mats.shape[0], "SU(2) matrices")
-print("central part:", np.round(ext.central.coords, 4), "in [0,1)^3")
+fields, fibers = sample_extension(cfg, lattice)
+print("field part:   grid of", fields.shape[1], "SU(2) matrices")
+print("central part:", np.round(fibers[0], 4), "in [0,1)^3")
 
-# fresh index, fresh draw; same index, same draw
-print("same index reproduces:",
-      np.array_equal(sample_extension(cfg, lattice, 0).central.coords,
-                     ext.central.coords))
+# draw i pairs field stream i with central stream 2^33 + i: a batch of
+# three starts with the single draw above
+batch_fields, batch_fibers = sample_extension(cfg, lattice, n_samples=3)
+print("first of three reproduces the single draw:",
+      np.array_equal(batch_fields[0], fields[0])
+      and np.array_equal(batch_fibers[0], fibers[0]))
 
 # Brownian motion on the fiber torus mixes to Haar as t grows
 print()

@@ -8,9 +8,7 @@ because each doubling adds modes whose difference quotients grow like m^2.
 
 from heatcurrents.diagnostics import regularity_probe
 
-reports = regularity_probe(
-    d=1, r=1, k_values=(2, 0), grid_ladder=(16, 32, 64, 128), n_samples=1024
-)
+reports = regularity_probe(k_values=(2, 0), grid_ladder=(16, 32, 64, 128), n_samples=1024)
 
 print("check                          estimate      closed sum   pass")
 for r in reports:

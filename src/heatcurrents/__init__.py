@@ -29,7 +29,6 @@ from .diagnostics import (
 from .extension import (
     CentralTorusElement,
     CohomologyVector,
-    ExtendedElement,
     LatticeSpec,
     central_brownian_marginal,
     cocycle,
@@ -44,7 +43,6 @@ from .fields import AlgebraField, OneFormField, exterior_derivative, field_brack
 from .lie import LieBasis, build_basis, exp_batch, log_batch
 from .rng import RNG_ALGORITHM, RngStream, diagnostic_stream, substream
 from .sde import (
-    EnsembleHandle,
     FieldState,
     SdeConfig,
     initial_state,

@@ -189,9 +189,9 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     out = _require_out(cfg)
     sde_cfg = _make_sde_config(cfg)
-    handle = sample_ensemble(sde_cfg, cfg["samples"], n_workers=cfg["workers"])
+    mats = sample_ensemble(sde_cfg, cfg["samples"], n_workers=cfg["workers"])
     manifest = _manifest(cfg, cfg["samples"])
-    write_ensemble(out, manifest, handle.mats)
+    write_ensemble(out, manifest, mats)
     print(f"wrote {out}.json and {out}.f64le")
     return 0
 
@@ -239,16 +239,13 @@ def _cmd_extend(args: argparse.Namespace) -> int:
     sde_cfg = _make_sde_config(cfg)
     rank = cfg["dim"] * (cfg["group_n"] ** 2 - 1)
     lattice = _lattice_from_config(cfg, rank)
-    if cfg["samples"] < 1:
-        raise ValueError(f"n_samples must be >= 1, got {cfg['samples']}")
-    draws = [
-        sample_extension(sde_cfg, lattice, cfg["stream_id"] + i)
-        for i in range(cfg["samples"])
-    ]
+    fields, fibers = sample_extension(
+        sde_cfg, lattice, cfg["samples"], first_stream=cfg["stream_id"]
+    )
     cfg["lattice"] = lattice.generators.tolist()
-    manifest = _manifest(cfg, len(draws))
-    write_ensemble(out, manifest, np.stack([d.field.mats for d in draws]))
-    central_doc = {"central": [d.central.coords.tolist() for d in draws]}
+    manifest = _manifest(cfg, cfg["samples"])
+    write_ensemble(out, manifest, fields)
+    central_doc = {"central": fibers.tolist()}
     write_atomic(
         out + ".central.json",
         (json.dumps(central_doc, indent=2, sort_keys=True) + "\n").encode("utf-8"),

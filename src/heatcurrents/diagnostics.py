@@ -16,11 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brownian import CovarianceSpec, covariance_kernel, synthesize
+from .brownian import CovarianceSpec, covariance_kernel
+from .extension import EXTENSION_CENTRAL_STREAM
 from .lie import LieBasis, build_basis, log_batch
 from .lie import exp_batch  # noqa: F401  unused here; bench/spans.py traces this name
-from .rng import RngStream, diagnostic_stream
-from .sde import CHUNK, FieldState, SdeConfig, flow, identity, sample_marginal
+from .rng import DIAGNOSTIC_STREAM_BASE, RngStream, diagnostic_stream
+from .sde import CHUNK, FieldState, SdeConfig, flow, identity, sample_ensemble, sample_marginal
 from .torus import build_spectrum
 
 __all__ = [
@@ -33,6 +34,7 @@ __all__ = [
     "weak_order_test",
     "strong_convergence_test",
     "regularity_probe",
+    "regularity_stream_ids",
     "drift_report",
     "fd_variance_target",
     "default_config",
@@ -428,72 +430,64 @@ def fd_variance_target(spec: CovarianceSpec, t: float, r: int) -> float:
     return float(t * (const + 2.0 * np.sum(w_pairs * gain)) / (2.0 * np.pi))
 
 
-def _forward_difference(arr: np.ndarray, axis: int, h: float, order: int) -> np.ndarray:
-    out = arr
-    for _ in range(order):
-        out = (np.roll(out, -1, axis=axis) - out) / h
-    return out
+# The probe runs in d = 1, differences to first order, and integrates to
+# time 0.01 in 8 steps.
+_REGULARITY_T = 0.01
+_REGULARITY_STEPS = 8
+
+# Level j of the probe (k-major over the grid ladder) draws sample i from
+# diagnostic slot REGULARITY_STRIDE * (j + 1) + i, one stream per sample:
+# above the fixed slots 0-33 and below EXTENSION_CENTRAL_STREAM.
+REGULARITY_STRIDE = 1 << 20
 
 
-def _sample_log_fields(
-    spec: CovarianceSpec,
-    t: float,
-    n_steps: int,
-    n_samples: int,
-    stream: RngStream,
-) -> np.ndarray:
-    """Batched full-grid sampling of log g_t coefficients: (N, *shape, dim_g).
+def regularity_stream_ids(level: int, n_samples: int) -> range:
+    """Stream ids of regularity level `level`, one per sample.
 
-    The batch flows in (*shape, N) layout, which is what synthesizing the
-    mode-major noise produces; the sample axis moves to the front once, on
-    the logarithm.
+    Raises ValueError when the range would overrun its level's stride or
+    reach the central-draw ids, so level ranges never overlap.
     """
-    n = spec.lie.n
-    amp = np.sqrt(t / n_steps * spec.weights)
-
-    def draw(_):
-        xi = stream.normal(size=(n_samples, spec.basis.n_modes, spec.dim_g))
-        xi *= amp[np.newaxis, :, np.newaxis]
-        return synthesize(spec.basis, xi.transpose(1, 0, 2))
-
-    g = flow(spec.lie, identity(spec.basis.grid.shape + (n_samples,), n), n_steps, draw)
-    return np.moveaxis(log_batch(spec.lie, g), -2, 0)
+    start = DIAGNOSTIC_STREAM_BASE + REGULARITY_STRIDE * (level + 1)
+    if n_samples > REGULARITY_STRIDE or start + n_samples > EXTENSION_CENTRAL_STREAM:
+        raise ValueError(
+            f"regularity level {level} cannot hold {n_samples} samples: at most "
+            f"{REGULARITY_STRIDE} per level keep the stream-id ranges disjoint"
+        )
+    return range(start, start + n_samples)
 
 
 def regularity_probe(
-    d: int = 1,
-    r: int = 1,
     k_values: tuple = (2, 0),
     grid_ladder: tuple = (16, 32, 64, 128),
     n_samples: int = 4096,
-    t: float = 0.01,
-    n_steps: int = 8,
     seed: int = 0,
 ) -> list:
-    """Variance of the order-r difference of the log-field across refinement.
+    """Variance of the first difference of the log-field across refinement.
 
     Each level P carries M_max = P/4, so refinement genuinely adds modes.
-    Smooth noise (2k > d + 2r) plateaus; k = 0 must diverge.  Emits
-    per-level variance reports against the closed sums and one final-ratio
-    report per k.
+    Smooth noise (2k > d + 2r, here d = r = 1) plateaus; k = 0 must
+    diverge.  Every level draws its fields through `sample_ensemble` on its
+    own range of `regularity_stream_ids`.  Emits per-level variance reports
+    against the closed sums and one final-ratio report per k.
     """
-    if d != 1:
-        raise ValueError("probe implemented for d=1")
+    n_levels = len(k_values) * len(grid_ladder)
+    regularity_stream_ids(n_levels - 1, n_samples)  # reject an overrun before sampling
     lie = build_basis(2)
     reports = []
     for ki, k in enumerate(k_values):
-        stream = diagnostic_stream(seed, 16 + ki)
         level_vars = []
         level_ses = []
-        for p in grid_ladder:
-            basis = build_spectrum(d, p, p // 4)
+        for pi, p in enumerate(grid_ladder):
+            basis = build_spectrum(1, p, p // 4)
             spec = CovarianceSpec(k=k, basis=basis, lie=lie, allow_rough=(k < 1))
-            coeffs = _sample_log_fields(spec, t, n_steps, n_samples, stream)
-            fd = _forward_difference(coeffs, axis=1, h=basis.grid.spacing, order=r)
+            cfg = SdeConfig(spec, _REGULARITY_STEPS, t_end=_REGULARITY_T, seed=seed)
+            ids = regularity_stream_ids(ki * len(grid_ladder) + pi, n_samples)
+            coeffs = log_batch(lie, sample_ensemble(cfg, n_samples, first_stream=ids.start))
+            fd = (np.roll(coeffs, -1, axis=1) - coeffs) / basis.grid.spacing
             per_sample = np.mean(fd**2, axis=tuple(range(1, fd.ndim)))
             est = float(per_sample.mean())
             se = float(per_sample.std(ddof=1) / np.sqrt(n_samples))
-            target = fd_variance_target(spec, t, r)
+            target = fd_variance_target(spec, _REGULARITY_T, 1)
             level_vars.append(est)
             level_ses.append(se)
             reports.append(
@@ -535,10 +529,10 @@ def regularity_probe(
 # group-manifold drift
 
 
-def drift_report(state: FieldState, atol: float = 1e-10) -> StatReport:
-    """Max unitarity and determinant defects over the grid."""
+def drift_report(state: FieldState) -> StatReport:
+    """Max unitarity and determinant defects over the grid, against 1e-10."""
     est = max(state.unitarity_defect(), state.det_defect())
-    return make_report("drift", est, 0.0, 0.0, state.mats.size // state.group_n**2, atol=atol)
+    return make_report("drift", est, 0.0, 0.0, state.mats.size // state.group_n**2, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -23,14 +23,13 @@ import numpy as np
 
 from .fields import AlgebraField, OneFormField, exterior_derivative, field_bracket, field_killing
 from .rng import RngStream, substream
-from .sde import FieldState, SdeConfig, sample_field
+from .sde import SdeConfig, sample_ensemble
 from .torus import TorusGrid, spectral_derivative
 
 __all__ = [
     "CohomologyVector",
     "LatticeSpec",
     "CentralTorusElement",
-    "ExtendedElement",
     "EMBED_DIRECTION",
     "EXTENSION_CENTRAL_STREAM",
     "leibniz_check",
@@ -50,7 +49,7 @@ __all__ = [
 EMBED_DIRECTION = 0
 
 # Stream id offset for the central (Haar / torus Brownian) draws, disjoint
-# from ensemble sample streams 0..n_samples-1.
+# from the field streams of ensemble samples and from diagnostic streams.
 EXTENSION_CENTRAL_STREAM = 1 << 33
 
 
@@ -129,14 +128,6 @@ class CentralTorusElement:
         object.__setattr__(self, "coords", c)
 
 
-@dataclass(frozen=True)
-class ExtendedElement:
-    """Product-trivialization point of the extended group: (field, fiber)."""
-
-    field: FieldState
-    central: CentralTorusElement
-
-
 def leibniz_check(grid: TorusGrid, eta: AlgebraField, eta1: AlgebraField) -> float:
     """Max-norm residual of d kappa(eta, eta1) = kappa(d eta, eta1) + kappa(eta, d eta1).
 
@@ -209,19 +200,24 @@ def haar_sample(lattice: LatticeSpec, stream: RngStream) -> CentralTorusElement:
 
 
 def sample_extension(
-    cfg: SdeConfig, lattice: LatticeSpec, index: int = 0
-) -> ExtendedElement:
-    """One draw of the lifted measure: independent (field, Haar) pair.
+    cfg: SdeConfig, lattice: LatticeSpec, n_samples: int = 1, first_stream: int = 0
+) -> tuple:
+    """n_samples draws of the lifted measure: independent (field, Haar) pairs.
 
-    The field part reuses the ensemble stream for sample `index`; the
-    central part draws from a disjoint stream id range, so the marginals
-    are independent by construction.
+    Returns the fields, (n_samples, *grid.shape, n, n) from one
+    `sample_ensemble` call, and the fibers, (n_samples, N) in lattice
+    coordinates.  Draw i pairs field stream first_stream + i with central
+    stream EXTENSION_CENTRAL_STREAM + first_stream + i; the two id ranges
+    are disjoint, so the marginals are independent by construction.
     """
-    fld = sample_field(cfg, stream=substream(cfg.seed, index))
-    central = haar_sample(
-        lattice, substream(cfg.seed, EXTENSION_CENTRAL_STREAM + index)
+    fields = sample_ensemble(cfg, n_samples, first_stream=first_stream)
+    fibers = np.stack(
+        [
+            haar_sample(lattice, substream(cfg.seed, EXTENSION_CENTRAL_STREAM + i)).coords
+            for i in range(first_stream, first_stream + n_samples)
+        ]
     )
-    return ExtendedElement(field=fld, central=central)
+    return fields, fibers
 
 
 def extended_bracket(
@@ -244,37 +240,33 @@ def central_brownian_marginal(
     t: float,
     n_samples: int,
     stream: RngStream,
-    sigma: float = 1.0,
-    start: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Exact time-t marginal of Brownian motion on Z, in lattice coords.
+    """Exact time-t marginal of Brownian motion on Z from 0, in lattice coords.
 
-    The ambient motion has covariance t*sigma^2*I, so the one-shot draw
-    start + G^{-1} (sigma sqrt(t) xi) mod 1 equals the stepped chain in law.
+    The ambient motion has covariance t*I, so the one-shot draw
+    G^{-1} (sqrt(t) xi) mod 1 equals the stepped chain in law.
     Returns (n_samples, N).
     """
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
-    n = lattice.rank
-    x0 = np.zeros(n) if start is None else np.asarray(start, dtype=float)
-    xi = stream.normal(size=(n_samples, n))
-    ambient = sigma * np.sqrt(t) * xi
-    y = x0 + np.linalg.solve(lattice.generators, ambient.T).T
+    xi = stream.normal(size=(n_samples, lattice.rank))
+    y = np.linalg.solve(lattice.generators, (np.sqrt(t) * xi).T).T
     frac = y - np.floor(y)
     frac[frac >= 1.0] -= 1.0
     return frac
 
 
-def wrapped_normal_cdf(x: np.ndarray, mean: float, var: float, n_wraps: int = 64) -> np.ndarray:
+def wrapped_normal_cdf(x: np.ndarray, mean: float, var: float) -> np.ndarray:
     """CDF on [0, 1) of a normal(mean, var) wrapped around the unit circle.
 
-    Reference law for the central Brownian marginal per lattice coordinate.
+    Reference law for the central Brownian marginal per lattice coordinate,
+    summed over 64 wraps either side of the circle.
     """
     from scipy.stats import norm
 
     x = np.asarray(x, dtype=float)
     sd = np.sqrt(var)
     total = np.zeros_like(x)
-    for j in range(-n_wraps, n_wraps + 1):
+    for j in range(-64, 65):
         total += norm.cdf(x + j, loc=mean, scale=sd) - norm.cdf(j, loc=mean, scale=sd)
     return total

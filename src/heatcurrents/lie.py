@@ -57,9 +57,6 @@ class LieBasis:
     def dim(self) -> int:
         return self.n * self.n - 1
 
-    def identity(self) -> np.ndarray:
-        return np.eye(self.n, dtype=complex)
-
 
 def build_basis(n: int) -> LieBasis:
     """Orthonormal su(n) basis (generalized Gell-Mann matrices over 2i).

@@ -10,8 +10,10 @@ by construction and has weak order one.
 and in `diagnostics`, advances its batch of group elements through it and
 differs only in the increments it supplies.  `brownian.synthesize` is the
 single synthesis path for increments built from the spectral basis.
-`sample_ensemble` flows blocks of samples as one (*grid, sample, n, n)
-batch; `sample_field` is the same code for one sample.
+`sample_ensemble` is the one full-grid multi-sample path, used by the
+`ensemble` and `extend` commands and by the regularity probe: it flows
+blocks of samples as one (*grid, sample, n, n) batch, and `sample_field`
+is the same code for one sample.
 
 Two sampling routes exist on purpose.  `sample_field` integrates the full
 grid field.  `sample_marginal` integrates only a chosen subset of points:
@@ -37,7 +39,6 @@ from .torus import TorusGrid
 __all__ = [
     "FieldState",
     "SdeConfig",
-    "EnsembleHandle",
     "CHUNK",
     "flow",
     "identity",
@@ -193,26 +194,17 @@ def sample_field(
     return FieldState(grid=grid, mats=_flow_field(cfg, stream, g0), t=cfg.t_end)
 
 
-@dataclass(frozen=True)
-class EnsembleHandle:
-    """In-memory ensemble: sample-major stack of terminal fields."""
+def sample_ensemble(
+    cfg: SdeConfig, n_samples: int, n_workers: int = 1, first_stream: int = 0
+) -> np.ndarray:
+    """n_samples independent terminal fields, (n_samples, *grid.shape, n, n).
 
-    cfg: SdeConfig
-    mats: np.ndarray  # (n_samples, *grid.shape, n, n)
-
-    @property
-    def n_samples(self) -> int:
-        return self.mats.shape[0]
-
-
-def sample_ensemble(cfg: SdeConfig, n_samples: int, n_workers: int = 1) -> EnsembleHandle:
-    """n_samples independent terminal fields, sample i from substream(seed, i).
-
-    Samples flow in blocks of max(1, CHUNK // n_points), each block as one
-    batch; `n_workers` threads run blocks concurrently.  Every sample's
+    Sample i draws from substream(seed, first_stream + i).  Samples flow
+    in blocks of max(1, CHUNK // n_points), each block as one batch;
+    `n_workers` threads run blocks concurrently.  Every sample's
     noise comes from its own stream and is synthesized column by column,
-    so sample i equals `sample_field` on substream(seed, i) bit for bit,
-    whatever the block size or the worker count.
+    so sample i equals `sample_field` on substream(seed, first_stream + i)
+    bit for bit, whatever the block size or the worker count.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
@@ -225,7 +217,7 @@ def sample_ensemble(cfg: SdeConfig, n_samples: int, n_workers: int = 1) -> Ensem
 
     def run_block(lo: int) -> None:
         hi = min(lo + block, n_samples)
-        streams = [substream(cfg.seed, i) for i in range(lo, hi)]
+        streams = [substream(cfg.seed, first_stream + i) for i in range(lo, hi)]
         g0 = identity(grid.shape + (hi - lo,), n)
         out[lo:hi] = np.moveaxis(_flow_field(cfg, streams, g0), grid.dim, 0)
 
@@ -236,7 +228,7 @@ def sample_ensemble(cfg: SdeConfig, n_samples: int, n_workers: int = 1) -> Ensem
     else:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             list(pool.map(run_block, starts))  # reading each result re-raises its error
-    return EnsembleHandle(cfg=cfg, mats=out)
+    return out
 
 
 def sample_marginal(

@@ -116,9 +116,7 @@ def test_haar_extension_suite():
 
 
 def test_regularity_probe():
-    reports = regularity_probe(
-        d=1, r=1, k_values=(2, 0), grid_ladder=(16, 32, 64, 128), n_samples=4096
-    )
+    reports = regularity_probe(k_values=(2, 0), grid_ladder=(16, 32, 64, 128), n_samples=4096)
     ok = all(announce(r.name, r) for r in reports)
     assert ok
 
@@ -140,7 +138,7 @@ def test_reproducibility(tmp_path, capsys):
     cfg = default_config(p=16, m_max=3, n_steps=8, seed=11)
     direct = sample_ensemble(cfg, 4, n_workers=2)
     _, loaded = read_ensemble(tmp_path / "a")
-    library_same = np.array_equal(direct.mats, loaded)
+    library_same = np.array_equal(direct, loaded)
 
     assert run_cli(["verify", "--check", "drift", "--out", str(tmp_path / "r1.json")]) == 0
     assert run_cli(["verify", "--check", "drift", "--out", str(tmp_path / "r2.json")]) == 0

@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 import heatcurrents
-from heatcurrents import cli
-from heatcurrents.diagnostics import make_report
-from heatcurrents.extension import cocycle
+from heatcurrents import cli, diagnostics
+from heatcurrents.diagnostics import REGULARITY_STRIDE, make_report
+from heatcurrents.extension import EXTENSION_CENTRAL_STREAM, LatticeSpec, cocycle, haar_sample
 from heatcurrents.fields import AlgebraField
 from heatcurrents.lie import build_basis
+from heatcurrents.rng import substream
 from heatcurrents.storage import read_ensemble
 from heatcurrents.torus import build_grid
 
@@ -186,11 +187,25 @@ def test_counts_below_one_rejected(tmp_path, capsys):
         ["verify", "--check", "drift", "--samples", "-1"],
         ["ensemble", *small, "--workers", "0", "--out", str(tmp_path / "w0")],
         ["ensemble", *small, "--workers", "-3", "--out", str(tmp_path / "w3")],
+        ["extend", *small, "--samples", "0", "--out", str(tmp_path / "e0")],
     ):
         rc, out, err = run(argv, capsys)
         assert rc == 1, argv
         assert out == "" and err.startswith("error:") and "must be >= 1" in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_regularity_samples_that_overlap_stream_ranges_rejected(monkeypatch, capsys):
+    # rejected before any level samples; should the check slip, fail
+    # instead of sampling a million fields
+    def must_not_sample(*args, **kwargs):
+        raise AssertionError("regularity sampled before rejecting --samples")
+
+    monkeypatch.setattr(diagnostics, "sample_ensemble", must_not_sample)
+    too_many = str(REGULARITY_STRIDE + 1)
+    rc, out, err = run(["verify", "--check", "regularity", "--samples", too_many], capsys)
+    assert rc == 1
+    assert out == "" and err.startswith("error:") and "stream-id ranges" in err
 
 
 def test_unknown_config_key(tmp_path, capsys):
@@ -365,6 +380,27 @@ def test_extend_reproducible_and_field_matches_sample(tmp_path, capsys):
     _, ext_mats = read_ensemble(tmp_path / "e1")
     _, plain = read_ensemble(tmp_path / "plain")
     assert np.array_equal(ext_mats, plain)
+
+
+def test_extend_stream_id_offsets_every_pair(tmp_path, capsys):
+    common = ["--grid", "16", "--modes", "3", "--steps", "2", "--seed", "5"]
+    rc, _, _ = run(
+        ["extend", *common, "--stream-id", "3", "--samples", "3", "--out", str(tmp_path / "e")],
+        capsys,
+    )
+    assert rc == 0
+    payload = b""
+    for sid in (3, 4, 5):
+        run(["sample", *common, "--stream-id", str(sid), "--out", str(tmp_path / f"s{sid}")],
+            capsys)
+        payload += (tmp_path / f"s{sid}.f64le").read_bytes()
+    assert (tmp_path / "e.f64le").read_bytes() == payload
+    # fiber i comes from central stream EXTENSION_CENTRAL_STREAM + 3 + i
+    central = json.loads((tmp_path / "e.central.json").read_text())["central"]
+    lattice = LatticeSpec.identity(3)
+    for i, coords in enumerate(central):
+        stream = substream(5, EXTENSION_CENTRAL_STREAM + 3 + i)
+        assert coords == haar_sample(lattice, stream).coords.tolist()
 
 
 def test_extend_custom_lattice(tmp_path, capsys):

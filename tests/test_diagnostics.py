@@ -7,6 +7,7 @@ import pytest
 
 from heatcurrents.brownian import CovarianceSpec, covariance_kernel, pointwise_variance
 from heatcurrents.diagnostics import (
+    REGULARITY_STRIDE,
     character_target,
     character_test,
     covariance_test,
@@ -16,12 +17,15 @@ from heatcurrents.diagnostics import (
     make_report,
     one_sided_report,
     regularity_probe,
+    regularity_stream_ids,
     reports_to_json,
     run_check,
     strong_convergence_test,
     weak_order_test,
 )
+from heatcurrents.extension import EXTENSION_CENTRAL_STREAM
 from heatcurrents.lie import build_basis
+from heatcurrents.rng import DIAGNOSTIC_STREAM_BASE
 from heatcurrents.sde import initial_state, sample_field
 from heatcurrents.torus import build_spectrum
 
@@ -184,9 +188,24 @@ def test_regularity_probe_rough_control_diverges():
     assert ratio.estimate >= 1.5
 
 
-def test_regularity_probe_rejects_higher_dim():
+def test_regularity_stream_ids_disjoint():
+    # the acceptance probe has 8 levels; the fixed diagnostic slots are 0-3
+    # and 32-33, 16-17 are retired, central draws start at
+    # EXTENSION_CENTRAL_STREAM
+    reserved = [range(DIAGNOSTIC_STREAM_BASE + lo, DIAGNOSTIC_STREAM_BASE + hi + 1)
+                for lo, hi in ((0, 3), (16, 17), (32, 33))]
+    reserved.append(range(EXTENSION_CENTRAL_STREAM, EXTENSION_CENTRAL_STREAM + 2**32))
+    for n in (1, 4096, REGULARITY_STRIDE):
+        levels = [regularity_stream_ids(j, n) for j in range(8)]
+        assert all(len(ids) == n for ids in levels)
+        spans = sorted((r.start, r.stop) for r in levels + reserved)
+        assert all(stop <= start for (_, stop), (start, _) in zip(spans, spans[1:]))
+    with pytest.raises(ValueError, match="stream-id ranges"):
+        regularity_stream_ids(0, REGULARITY_STRIDE + 1)
+    last = (EXTENSION_CENTRAL_STREAM - DIAGNOSTIC_STREAM_BASE) // REGULARITY_STRIDE - 2
+    assert regularity_stream_ids(last, REGULARITY_STRIDE).stop == EXTENSION_CENTRAL_STREAM
     with pytest.raises(ValueError):
-        regularity_probe(d=2, n_samples=8)
+        regularity_stream_ids(last + 1, 1)
 
 
 def test_drift_report():

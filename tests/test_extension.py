@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from heatcurrents.extension import (
@@ -160,6 +162,31 @@ def test_reduce_mod_lattice():
     assert np.allclose(once, twice, atol=1e-12)
 
 
+def _nudge(x: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        x = np.nextafter(x, np.inf if ulps > 0 else -np.inf)
+    return x
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_reduce_mod_lattice_at_the_seam(data):
+    # a few ulps either side of a lattice vector, where floor() and the
+    # solve round-off decide between coordinate 0 and coordinate 1
+    rank = data.draw(st.integers(1, 4), label="rank")
+    tilt = data.draw(st.sampled_from([0.0, 0.3]), label="tilt")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    ints = data.draw(st.lists(st.integers(-5, 5), min_size=rank, max_size=rank), label="k")
+    ulps = data.draw(st.lists(st.integers(-4, 4), min_size=rank, max_size=rank), label="ulps")
+    gen = np.eye(rank) + tilt * np.random.default_rng(seed).uniform(-1, 1, (rank, rank))
+    lattice = LatticeSpec(generators=gen)
+    v = np.array([_nudge(x, u) for x, u in zip(gen @ np.array(ints, dtype=float), ulps)])
+    coords = reduce_mod_lattice(v, lattice).coords
+    assert np.all((coords >= 0.0) & (coords < 1.0))
+    shift = np.linalg.solve(gen, gen @ coords - v)  # lattice coordinates of G c - v
+    assert np.max(np.abs(shift - np.round(shift))) < 1e-9
+
+
 def test_reduce_mod_lattice_homomorphism():
     lat = LatticeSpec(generators=np.array([[1.5, 0.25], [0.0, 0.75]]))
     stream = substream(37, 0)
@@ -226,17 +253,21 @@ def make_cfg(seed=0):
 def test_sample_extension_components():
     cfg = make_cfg(seed=12)
     lat = LatticeSpec.identity(6)
-    ext = sample_extension(cfg, lat, index=2)
+    fields, fibers = sample_extension(cfg, lat, first_stream=2)
     # field part reuses ensemble stream for the same index
     direct = sample_field(cfg, stream=substream(12, 2))
-    assert np.array_equal(ext.field.mats, direct.mats)
-    assert ext.central.coords.shape == (6,)
+    assert np.array_equal(fields[0], direct.mats)
+    assert fibers.shape == (1, 6)
     # central stream disjoint from field streams: changing the index moves
     # both parts, same index reproduces both
-    again = sample_extension(cfg, lat, index=2)
-    assert np.array_equal(again.central.coords, ext.central.coords)
-    other = sample_extension(cfg, lat, index=3)
-    assert not np.array_equal(other.central.coords, ext.central.coords)
+    _, again = sample_extension(cfg, lat, first_stream=2)
+    assert np.array_equal(again, fibers)
+    _, other = sample_extension(cfg, lat, first_stream=3)
+    assert not np.array_equal(other, fibers)
+    # a batch pairs field stream 2 + i with central stream 2^33 + 2 + i
+    batch_fields, batch_fibers = sample_extension(cfg, lat, n_samples=2, first_stream=2)
+    assert np.array_equal(batch_fields[0], fields[0])
+    assert np.array_equal(batch_fibers, np.concatenate([fibers, other]))
 
 
 def test_extended_bracket_structure():

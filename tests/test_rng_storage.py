@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heatcurrents.rng import (
     DIAGNOSTIC_STREAM_BASE,
@@ -97,6 +99,33 @@ def make_manifest(**kw):
     )
     base.update(kw)
     return EnsembleManifest(**base)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_LATTICES = st.integers(1, 4).flatmap(
+    lambda r: st.lists(st.lists(_FINITE, min_size=r, max_size=r), min_size=r, max_size=r)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    manifest=st.builds(
+        EnsembleManifest,
+        d=st.integers(1, 3),
+        n=st.integers(2, 4),
+        k=st.integers(0, 4),
+        m_max=st.integers(0, 64),
+        p=st.integers(2, 256),
+        n_steps=st.integers(1, 10**6),
+        t_end=st.floats(0.0, 1.0, exclude_min=True),
+        n_samples=st.integers(1, 10**6),
+        seed=st.integers(0, 2**64 - 1),
+        lattice=st.none() | _LATTICES,
+        checksum=st.none() | st.text("0123456789abcdef", min_size=16, max_size=16),
+    )
+)
+def test_manifest_json_round_trip(manifest):
+    assert EnsembleManifest.from_json_bytes(manifest.to_json_bytes()) == manifest
 
 
 def random_fields(n_samples=2, p=8, n=2, seed=0):

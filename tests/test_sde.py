@@ -130,33 +130,35 @@ def test_left_invariance():
 
 def test_ensemble_matches_single_stream():
     cfg = make_cfg(seed=5)
-    handle = sample_ensemble(cfg, n_samples=3)
-    assert handle.n_samples == 3
+    mats = sample_ensemble(cfg, n_samples=3)
+    assert mats.shape[0] == 3
     for i in (0, 2):
         direct = sample_field(cfg, stream=substream(5, i))
-        assert np.array_equal(handle.mats[i], direct.mats)
+        assert np.array_equal(mats[i], direct.mats)
 
 
 def test_ensemble_worker_count_irrelevant():
     cfg = make_cfg(seed=6)
     serial = sample_ensemble(cfg, n_samples=6, n_workers=1)
     pooled = sample_ensemble(cfg, n_samples=6, n_workers=3)
-    assert np.array_equal(serial.mats, pooled.mats)
+    assert np.array_equal(serial, pooled)
 
 
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("d,p", [(1, 16), (2, 8)])
 def test_ensemble_bytes_independent_of_blocks_and_workers(monkeypatch, n, d, p):
     cfg = make_cfg(p=p, d=d, n_steps=4, seed=12, n=n)
-    one_block = sample_ensemble(cfg, n_samples=7).mats.tobytes()
+    firsts = (0, 5)
+    one_block = {s: sample_ensemble(cfg, 7, first_stream=s).tobytes() for s in firsts}
     # CHUNK of 2 fields gives blocks of 2, 2, 2, 1 samples
     monkeypatch.setattr(sde, "CHUNK", 2 * p**d)
-    for workers in (1, 2, 3):
-        assert sample_ensemble(cfg, n_samples=7, n_workers=workers).mats.tobytes() == one_block
-    handle = sample_ensemble(cfg, n_samples=7, n_workers=2)
-    for i in range(7):
-        direct = sample_field(cfg, stream=substream(12, i))
-        assert handle.mats[i].tobytes() == direct.mats.tobytes()
+    for s in firsts:
+        for workers in (1, 2, 3):
+            mats = sample_ensemble(cfg, 7, n_workers=workers, first_stream=s)
+            assert mats.tobytes() == one_block[s]
+        for i in range(7):
+            direct = sample_field(cfg, stream=substream(12, s + i))
+            assert mats[i].tobytes() == direct.mats.tobytes()
 
 
 def test_ensemble_rejects_bad_counts():
@@ -185,8 +187,8 @@ def test_marginal_matches_full_grid_moments():
     tr_marg = np.real(np.trace(mats[:, 0], axis1=-2, axis2=-1))
 
     n_full = 2000
-    handle = sample_ensemble(cfg, n_samples=n_full)
-    tr_full = np.real(np.trace(handle.mats[:, 3], axis1=-2, axis2=-1))
+    mats_full = sample_ensemble(cfg, n_samples=n_full)
+    tr_full = np.real(np.trace(mats_full[:, 3], axis1=-2, axis2=-1))
 
     se = np.sqrt(
         tr_marg.var(ddof=1) / n_marg + tr_full.var(ddof=1) / n_full
