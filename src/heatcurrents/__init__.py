@@ -45,7 +45,6 @@ from .rng import RNG_ALGORITHM, RngStream, diagnostic_stream, substream
 from .sde import (
     FieldState,
     SdeConfig,
-    initial_state,
     sample_ensemble,
     sample_field,
     sample_marginal,

@@ -18,7 +18,6 @@ import numpy as np
 
 from .fields import AlgebraField
 from .lie import LieBasis
-from .rng import RngStream
 from .torus import SpectralBasis
 
 __all__ = [
@@ -100,8 +99,6 @@ def synthesize(basis: SpectralBasis, amp: np.ndarray) -> np.ndarray:
     half = np.zeros((math.prod(grid.half_shape),) + batch, dtype=complex)
     half[basis.half_cells] = coef[basis.half_sources]
     half = half.reshape(grid.half_shape + batch)
-    if grid.dim == 1:
-        return np.fft.irfft(half, n=grid.points_per_axis, axis=0, norm="forward")
     return np.fft.irfftn(half, s=grid.shape, axes=tuple(range(grid.dim)), norm="forward")
 
 
@@ -109,20 +106,16 @@ def sample_increment(spec: CovarianceSpec, dt: float, streams) -> AlgebraField:
     """One centered Gaussian increment of the H-valued Brownian motion.
 
     dB(S) = sum_{m,a} sqrt(dt * w_m) xi_{m,a} e_m(S) T_a with i.i.d.
-    standard normal xi.  `streams` is one RngStream, giving coefficients
-    (*grid.shape, dim_g), or a sequence of them, one per sample, giving
-    (*grid.shape, n_samples, dim_g); sample s draws its xi from streams[s]
-    exactly as a lone stream would, so its column does not depend on the
+    standard normal xi.  `streams` holds one RngStream per sample and the
+    coefficients have shape (*grid.shape, n_samples, dim_g); sample s draws
+    its xi from streams[s] alone, so its column does not depend on the
     others.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     size = (spec.basis.n_modes, spec.dim_g)
-    if isinstance(streams, RngStream):
-        xi = streams.normal(size=size)
-    else:
-        xi = np.stack([stream.normal(size=size) for stream in streams], axis=1)
-    scale = np.sqrt(dt * spec.weights).reshape((-1,) + (1,) * (xi.ndim - 1))
+    xi = np.stack([stream.normal(size=size) for stream in streams], axis=1)
+    scale = np.sqrt(dt * spec.weights)[:, np.newaxis, np.newaxis]
     return AlgebraField(coeffs=synthesize(spec.basis, scale * xi), lie=spec.lie)
 
 

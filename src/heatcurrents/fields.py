@@ -74,10 +74,6 @@ class OneFormField:
         object.__setattr__(self, "components", c)
 
     @property
-    def n_axes(self) -> int:
-        return self.components.shape[0]
-
-    @property
     def grid_shape(self) -> tuple:
         return self.components.shape[1:-1]
 

@@ -157,8 +157,11 @@ def _exp_su2(coeffs: np.ndarray) -> np.ndarray:
 def log_batch(basis: LieBasis, mats: np.ndarray) -> np.ndarray:
     """Principal logarithm as algebra coefficients: (..., n, n) -> (..., dim).
 
-    Intended for matrices near the identity (rotation angle below pi);
-    callers in the diagnostics guard the domain explicitly.
+    exp(log g) = g while every eigenphase of g lies in (-pi, pi).  Past pi
+    the general-n path wraps a phase by 2 pi, the log of each eigenvalue no
+    longer sums to zero, and its traceless part gives exp(log g) = omega g
+    with omega^n = 1 (omega = exp(2 pi i / 3) for phases (4, -2, -2) on
+    SU(3)).  Callers in the diagnostics guard the domain explicitly.
     """
     mats = np.asarray(mats, dtype=complex)
     if basis.n == 2:

@@ -21,26 +21,26 @@ import numpy as np
 # mapping or the underlying bit generator ever changes.
 RNG_ALGORITHM = "numpy-philox4x64-v1"
 
-_MASK64 = (1 << 64) - 1
-
 
 @dataclass
 class RngStream:
-    """One independent Philox stream addressed by (root_seed, stream_id)."""
+    """One independent Philox stream addressed by (root_seed, stream_id).
+
+    Both lie in [0, 2^64), the two 64-bit words of the Philox key; a value
+    outside raises ValueError rather than alias another stream.
+    """
 
     root_seed: int
     stream_id: int = 0
     _gen: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self):
-        key = np.array(
-            [self.root_seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64
-        )
+        for name in ("root_seed", "stream_id"):
+            value = getattr(self, name)
+            if not 0 <= value < 1 << 64:
+                raise ValueError(f"{name} must lie in [0, 2^64), got {value}")
+        key = np.array([self.root_seed, self.stream_id], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
-
-    @property
-    def generator(self) -> np.random.Generator:
-        return self._gen
 
     @property
     def counter(self) -> int:

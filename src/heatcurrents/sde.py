@@ -10,10 +10,10 @@ by construction and has weak order one.
 and in `diagnostics`, advances its batch of group elements through it and
 differs only in the increments it supplies.  `brownian.synthesize` is the
 single synthesis path for increments built from the spectral basis.
-`sample_ensemble` is the one full-grid multi-sample path, used by the
-`ensemble` and `extend` commands and by the regularity probe: it flows
-blocks of samples as one (*grid, sample, n, n) batch, and `sample_field`
-is the same code for one sample.
+`_flow_field` is the one full-grid flow: it advances a
+(*grid, sample, n, n) batch with one stream per sample.  `sample_ensemble`
+runs it on blocks of samples for the `ensemble` and `extend` commands and
+the regularity probe, and `sample_field` is the one-sample block.
 
 Two sampling routes exist on purpose.  `sample_field` integrates the full
 grid field.  `sample_marginal` integrates only a chosen subset of points:
@@ -42,7 +42,6 @@ __all__ = [
     "CHUNK",
     "flow",
     "identity",
-    "initial_state",
     "step",
     "sample_field",
     "sample_ensemble",
@@ -151,11 +150,6 @@ def identity(shape: tuple, n: int) -> np.ndarray:
     return np.broadcast_to(np.eye(n, dtype=complex), tuple(shape) + (n, n))
 
 
-def initial_state(grid: TorusGrid, group_n: int = 2) -> FieldState:
-    """Identity at every grid point, t = 0."""
-    return FieldState(grid=grid, mats=identity(grid.shape, group_n).copy(), t=0.0)
-
-
 def step(state: FieldState, incr: AlgebraField, dt: float) -> FieldState:
     """One geodesic step: g <- g . exp(dB) pointwise, t <- t + dt."""
     mats = flow(incr.lie, state.mats, 1, lambda _: incr.coeffs)
@@ -163,11 +157,8 @@ def step(state: FieldState, incr: AlgebraField, dt: float) -> FieldState:
 
 
 def _flow_field(cfg: SdeConfig, streams, g0: np.ndarray) -> np.ndarray:
-    """Flow g0 on the grid for cfg.n_steps steps of synthesized noise.
-
-    One stream gives g0 of shape (*grid.shape, n, n); a sequence of streams,
-    one per sample, gives (*grid.shape, n_samples, n, n).
-    """
+    """Flow g0 (*grid.shape, n_samples, n, n) on the grid for cfg.n_steps
+    steps of synthesized noise, sample s drawing from streams[s]."""
     dt = cfg.dt
     return flow(
         cfg.spec.lie,
@@ -177,12 +168,9 @@ def _flow_field(cfg: SdeConfig, streams, g0: np.ndarray) -> np.ndarray:
     )
 
 
-def sample_field(
-    cfg: SdeConfig,
-    stream: RngStream | None = None,
-    initial: FieldState | None = None,
-) -> FieldState:
-    """Terminal field after n_steps equal steps on [0, t_end].
+def sample_field(cfg: SdeConfig, stream: RngStream | None = None) -> FieldState:
+    """Terminal field after n_steps equal steps on [0, t_end]: the
+    one-sample block of `sample_ensemble`.
 
     With the default stream this equals ensemble sample 0 for the same
     seed.  Non-finite values abort immediately rather than propagate.
@@ -190,8 +178,9 @@ def sample_field(
     if stream is None:
         stream = substream(cfg.seed, 0)
     grid = cfg.spec.basis.grid
-    g0 = identity(grid.shape, cfg.spec.lie.n) if initial is None else initial.mats
-    return FieldState(grid=grid, mats=_flow_field(cfg, stream, g0), t=cfg.t_end)
+    g0 = identity(grid.shape + (1,), cfg.spec.lie.n)
+    mats = _flow_field(cfg, [stream], g0)[..., 0, :, :]
+    return FieldState(grid=grid, mats=mats, t=cfg.t_end)
 
 
 def sample_ensemble(

@@ -26,6 +26,11 @@ def make_spec(k=2, p=64, m=16, d=1, allow_rough=False):
     )
 
 
+def one_increment(spec, dt, stream):
+    """Coefficients (*grid.shape, dim_g) of a one-sample increment."""
+    return sample_increment(spec, dt, [stream]).coeffs[..., 0, :]
+
+
 def test_weights_formula():
     spec = make_spec(k=2, p=16, m=3)
     lam = spec.basis.eigenvalues
@@ -47,14 +52,14 @@ def test_increment_rejects_bad_dt():
     spec = make_spec(p=16, m=3)
     for dt in (0.0, -1.0):
         with pytest.raises(ValueError):
-            sample_increment(spec, dt, substream(0, 0))
+            sample_increment(spec, dt, [substream(0, 0)])
 
 
 def test_increment_sqrt_dt_scaling():
     # same stream key, two dt values: fields differ by exactly sqrt(dt'/dt)
     spec = make_spec(p=16, m=3)
-    a = sample_increment(spec, 1.0, substream(3, 5)).coeffs
-    b = sample_increment(spec, 4.0, substream(3, 5)).coeffs
+    a = one_increment(spec, 1.0, substream(3, 5))
+    b = one_increment(spec, 4.0, substream(3, 5))
     assert np.max(np.abs(b - 2.0 * a)) < 1e-14
 
 
@@ -65,7 +70,7 @@ def test_increment_mean_zero():
     acc = np.zeros(spec.basis.grid.shape + (3,))
     acc2 = np.zeros_like(acc)
     for _ in range(n):
-        c = sample_increment(spec, 1.0, stream).coeffs
+        c = one_increment(spec, 1.0, stream)
         acc += c
         acc2 += c * c
     mean = acc / n
@@ -89,7 +94,7 @@ def test_empirical_variance_matches_closed_sum():
     n = 4000
     acc2 = np.zeros(spec.basis.grid.shape + (3,))
     for _ in range(n):
-        c = sample_increment(spec, 0.5, stream).coeffs
+        c = one_increment(spec, 0.5, stream)
         acc2 += c * c
     var = acc2 / n / 0.5
     c_target = pointwise_variance(spec)
@@ -104,8 +109,8 @@ def test_independent_streams_uncorrelated():
     x = np.empty(n)
     y = np.empty(n)
     for i in range(n):
-        x[i] = sample_increment(spec, 1.0, s1).coeffs[0, 0]
-        y[i] = sample_increment(spec, 1.0, s2).coeffs[0, 0]
+        x[i] = one_increment(spec, 1.0, s1)[0, 0]
+        y[i] = one_increment(spec, 1.0, s2)[0, 0]
     corr = np.corrcoef(x, y)[0, 1]
     assert abs(corr) <= 4.0 / np.sqrt(n)
 
@@ -139,7 +144,7 @@ def test_increment_pair_covariance():
     idx = [0, 8]
     acc = np.zeros((2, 2, 3, 3))
     for _ in range(n):
-        c = sample_increment(spec, dt, stream).coeffs[idx]  # (2, 3)
+        c = one_increment(spec, dt, stream)[idx]  # (2, 3)
         acc += np.einsum("ia,jb->ijab", c, c)
     cov = acc / n
     pts = spec.basis.grid.coordinates()
@@ -172,20 +177,20 @@ def test_d3_increment_without_a_table():
     tracemalloc.start()
     try:
         spec = make_spec(p=64, m=16, d=3)
-        incr = sample_increment(spec, 1e-3, substream(0, 0))
+        incr = one_increment(spec, 1e-3, substream(0, 0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert incr.coeffs.shape == (64, 64, 64, 3)
+    assert incr.shape == (64, 64, 64, 3)
     assert peak < 256e6
 
 
 def test_increment_per_sample_streams():
-    # one stream per sample: column s equals the lone-stream increment of
+    # one stream per sample: column s equals the one-sample increment of
     # stream s bit for bit, and each stream advances as it would alone
     spec = make_spec(p=16, m=5, d=2)
     batch = sample_increment(spec, 0.1, [substream(4, i) for i in range(3)]).coeffs
     assert batch.shape == (16, 16, 3, 3)
     for i in range(3):
-        alone = sample_increment(spec, 0.1, substream(4, i)).coeffs
+        alone = one_increment(spec, 0.1, substream(4, i))
         assert batch[:, :, i].tobytes() == alone.tobytes()

@@ -195,6 +195,21 @@ def test_counts_below_one_rejected(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_seed_and_stream_id_outside_64_bits_rejected(tmp_path, capsys):
+    small = ["--grid", "16", "--modes", "3", "--steps", "2"]
+    top = str((1 << 64) - 1)
+    for argv in (
+        ["sample", *small, "--seed", str(1 << 64), "--out", str(tmp_path / "big")],
+        ["sample", *small, "--seed", "-1", "--out", str(tmp_path / "neg")],
+        # the second pair's field stream would be 2^64
+        ["extend", *small, "--stream-id", top, "--samples", "2", "--out", str(tmp_path / "x")],
+    ):
+        rc, out, err = run(argv, capsys)
+        assert rc == 1, argv
+        assert err.startswith("error:") and "2^64" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_regularity_samples_that_overlap_stream_ranges_rejected(monkeypatch, capsys):
     # rejected before any level samples; should the check slip, fail
     # instead of sampling a million fields

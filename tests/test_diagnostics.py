@@ -26,7 +26,7 @@ from heatcurrents.diagnostics import (
 from heatcurrents.extension import EXTENSION_CENTRAL_STREAM
 from heatcurrents.lie import build_basis
 from heatcurrents.rng import DIAGNOSTIC_STREAM_BASE
-from heatcurrents.sde import initial_state, sample_field
+from heatcurrents.sde import FieldState, identity, sample_field
 from heatcurrents.torus import build_spectrum
 
 
@@ -209,12 +209,11 @@ def test_regularity_stream_ids_disjoint():
 
 
 def test_drift_report():
-    state = initial_state(build_spectrum(1, 16, 3).grid)
+    grid = build_spectrum(1, 16, 3).grid
+    state = FieldState(grid=grid, mats=identity(grid.shape, 2), t=0.0)
     assert drift_report(state).passed
     bad = state.mats.copy()
     bad[0] *= 1.1  # off the unitary manifold
-    from heatcurrents.sde import FieldState
-
     report = drift_report(FieldState(grid=state.grid, mats=bad, t=0.0))
     assert not report.passed
     assert report.estimate > 1e-2

@@ -3,6 +3,8 @@ accuracy for the su(n) kernels."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from heatcurrents.fields import AlgebraField
 from heatcurrents.lie import (
@@ -185,6 +187,68 @@ def test_log_inverts_exp(n):
     coeffs *= rng.uniform(0.01, 2.5, size=norms.shape) / norms  # inside principal domain
     back = log_batch(b, exp_batch(b, coeffs))
     assert np.max(np.abs(back - coeffs)) < 1e-10
+
+
+def algebra_with_phases(b, phases, seed):
+    """Coefficients of U diag(i phases) U^dagger, U Haar-random from `seed`;
+    the phases sum to zero and are the eigenphases of its exponential."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(b.n, b.n)) + 1j * rng.normal(size=(b.n, b.n)))
+    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    return matrix_to_coeffs(b, q @ np.diag(1j * np.asarray(phases)) @ q.conj().T)
+
+
+_NEAR_CUT = np.pi - 1e-6
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    phase=st.floats(0.0, _NEAR_CUT),
+    phase2=st.floats(-_NEAR_CUT, _NEAR_CUT),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(phase=_NEAR_CUT, phase2=-_NEAR_CUT / 2, seed=0)
+@example(phase=_NEAR_CUT, phase2=-_NEAR_CUT, seed=1)
+@pytest.mark.parametrize("n", [2, 3])
+def test_exp_log_round_trip_near_branch_cut(n, phase, phase2, seed):
+    # every eigenphase up to pi - 1e-6 in magnitude, on both group paths
+    b = build_basis(n)
+    phases = np.array([phase, -phase] if n == 2 else [phase, phase2, -phase - phase2])
+    assume(np.max(np.abs(phases)) <= _NEAR_CUT)  # the third phase may leave it
+    x = algebra_with_phases(b, phases, seed)
+    g = exp_batch(b, x)
+    back = log_batch(b, g)
+    # The closed SU(2) form is exact to round-off.  The general path meets
+    # the conditioning of log itself, the largest divided difference
+    # |theta_i - theta_j| / |e^{i theta_i} - e^{i theta_j}|, which reaches
+    # 3e6 when two eigenvalues close in on -1 from either side of the cut.
+    i, j = np.triu_indices(n, 1)
+    gap = np.abs(np.exp(1j * phases[i]) - np.exp(1j * phases[j]))
+    kappa = np.max(np.abs(phases[i] - phases[j]) / np.maximum(gap, 1e-300))
+    tol = 1e-10 if n == 2 else 1e-10 + 1e-14 * kappa
+    assert np.max(np.abs(back - x)) < tol
+    assert np.max(np.abs(exp_batch(b, back) - g)) < 1e-10
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    phase=st.floats(-2 * np.pi, 2 * np.pi),
+    phase2=st.floats(-2 * np.pi, 2 * np.pi),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(phase=4.0, phase2=-2.0, seed=0)
+def test_su3_log_past_the_cut_is_central_multiple(phase, phase2, seed):
+    # past pi the principal log wraps a phase by 2 pi; its traceless part
+    # then exponentiates to omega g with omega a cube root of unity
+    b = build_basis(3)
+    g = exp_batch(b, algebra_with_phases(b, [phase, phase2, -phase - phase2], seed))
+    h = exp_batch(b, log_batch(b, g))
+    omega = np.trace(h @ g.conj().T) / 3
+    assert abs(omega**3 - 1) < 1e-10
+    assert np.max(np.abs(h - omega * g)) < 1e-10
+    if (phase, phase2) == (4.0, -2.0):
+        # 4 wraps to 4 - 2 pi and the others stay: omega = exp(2 pi i / 3)
+        assert abs(omega - np.exp(2j * np.pi / 3)) < 1e-10
 
 
 def test_coeff_matrix_round_trip():

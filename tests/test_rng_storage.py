@@ -69,6 +69,13 @@ def test_large_stream_ids():
     vals = big.normal(4)
     assert np.all(np.isfinite(vals))
     assert not np.array_equal(vals, substream(0, 5).normal(4))
+    # seed and id fill the two 64-bit key words; outside them is an error,
+    # where masking would alias 2^64 onto 0 and -1 onto 2^64 - 1
+    top = (1 << 64) - 1
+    assert np.all(np.isfinite(RngStream(top, top).normal(2)))
+    for seed, sid in ((1 << 64, 0), (-1, 0), (0, 1 << 64), (0, -1)):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 2\^64\)"):
+            RngStream(seed, sid)
 
 
 def test_diagnostic_stream_offset():

@@ -13,7 +13,7 @@ from heatcurrents.sde import (
     FieldState,
     SdeConfig,
     flow,
-    initial_state,
+    identity,
     sample_ensemble,
     sample_field,
     sample_marginal,
@@ -30,7 +30,8 @@ def make_cfg(k=2, p=16, m=3, d=1, n_steps=8, t_end=1.0, seed=0, n=2):
 
 
 def test_initial_state_is_identity():
-    state = initial_state(build_grid(1, 16))
+    # the identity start of every flow, as a t = 0 field state
+    state = FieldState(grid=build_grid(1, 16), mats=identity((16,), 2), t=0.0)
     assert state.t == 0.0
     assert np.array_equal(state.mats, np.broadcast_to(np.eye(2), (16, 2, 2)))
     assert state.unitarity_defect() == 0.0
@@ -50,7 +51,7 @@ def test_config_validation():
 
 def test_step_zero_increment():
     grid = build_grid(1, 16)
-    state = initial_state(grid)
+    state = FieldState(grid=grid, mats=identity(grid.shape, 2), t=0.0)
     incr = AlgebraField(coeffs=np.zeros((16, 3)), lie=LIE2)
     out = step(state, incr, 0.25)
     assert np.array_equal(out.mats, state.mats)
@@ -58,7 +59,7 @@ def test_step_zero_increment():
 
 
 def test_step_shape_mismatch():
-    state = initial_state(build_grid(1, 16))
+    state = FieldState(grid=build_grid(1, 16), mats=identity((16,), 2), t=0.0)
     incr = AlgebraField(coeffs=np.zeros((8, 3)), lie=LIE2)
     with pytest.raises(ValueError, match="shape"):
         step(state, incr, 0.1)
@@ -101,9 +102,9 @@ def test_constant_mode_only_is_spatially_constant():
 def test_nonfinite_abort(monkeypatch):
     cfg = make_cfg(n_steps=4)
 
-    def poisoned(spec, dt, stream):
+    def poisoned(spec, dt, streams):
         field = object.__new__(AlgebraField)
-        coeffs = np.zeros((16, 3))
+        coeffs = np.zeros((16, len(streams), 3))
         coeffs[0, 0] = np.nan
         object.__setattr__(field, "coeffs", coeffs)
         object.__setattr__(field, "lie", LIE2)
@@ -119,13 +120,8 @@ def test_left_invariance():
     base = sample_field(cfg, stream=substream(4, 0))
     rng = np.random.default_rng(7)
     a = exp_batch(LIE2, rng.normal(size=3))
-    shifted_start = FieldState(
-        grid=cfg.spec.basis.grid,
-        mats=np.broadcast_to(a, (16, 2, 2)).copy(),
-        t=0.0,
-    )
-    shifted = sample_field(cfg, stream=substream(4, 0), initial=shifted_start)
-    assert np.max(np.abs(shifted.mats - a @ base.mats)) < 1e-12
+    shifted = sde._flow_field(cfg, [substream(4, 0)], np.broadcast_to(a, (16, 1, 2, 2)))
+    assert np.max(np.abs(shifted[:, 0] - a @ base.mats)) < 1e-12
 
 
 def test_ensemble_matches_single_stream():
