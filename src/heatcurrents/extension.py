@@ -208,8 +208,15 @@ def sample_extension(
     `sample_ensemble` call, and the fibers, (n_samples, N) in lattice
     coordinates.  Draw i pairs field stream first_stream + i with central
     stream EXTENSION_CENTRAL_STREAM + first_stream + i; the two id ranges
-    are disjoint, so the marginals are independent by construction.
+    are disjoint, so the marginals are independent by construction.  Both
+    ranges are checked before any field is sampled.
     """
+    if not 0 <= first_stream <= (1 << 64) - EXTENSION_CENTRAL_STREAM - n_samples:
+        raise ValueError(
+            f"--stream-id {first_stream} with --samples {n_samples} puts a field or "
+            f"central stream id outside [0, 2^64): --stream-id + --samples may be at "
+            f"most 2^64 - 2^33"
+        )
     fields = sample_ensemble(cfg, n_samples, first_stream=first_stream)
     fibers = np.stack(
         [

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import heatcurrents
-from heatcurrents import cli, diagnostics
+from heatcurrents import cli, diagnostics, extension
 from heatcurrents.diagnostics import REGULARITY_STRIDE, make_report
 from heatcurrents.extension import EXTENSION_CENTRAL_STREAM, LatticeSpec, cocycle, haar_sample
 from heatcurrents.fields import AlgebraField
@@ -207,6 +207,22 @@ def test_seed_and_stream_id_outside_64_bits_rejected(tmp_path, capsys):
         rc, out, err = run(argv, capsys)
         assert rc == 1, argv
         assert err.startswith("error:") and "2^64" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_extend_central_stream_ids_checked_before_sampling(tmp_path, monkeypatch, capsys):
+    # the field ids fit, but the last central id 2^33 + stream id + 63 is 2^64
+    def must_not_sample(*args, **kwargs):
+        raise AssertionError("extend sampled before checking its central stream ids")
+
+    monkeypatch.setattr(extension, "sample_ensemble", must_not_sample)
+    stream_id = str((1 << 64) - EXTENSION_CENTRAL_STREAM - 63)
+    argv = ["extend", "--samples", "64", "--stream-id", stream_id, "--out", str(tmp_path / "x")]
+    rc, out, err = run(argv, capsys)
+    assert rc == 1
+    assert out == "" and err.startswith("error:")
+    assert f"--stream-id {stream_id}" in err and "--samples 64" in err
+    assert str(1 << 64) not in err  # the derived id is not the user's
     assert list(tmp_path.iterdir()) == []
 
 

@@ -198,6 +198,77 @@ def algebra_with_phases(b, phases, seed):
     return matrix_to_coeffs(b, q @ np.diag(1j * np.asarray(phases)) @ q.conj().T)
 
 
+def eigh_exp(b, coeffs):
+    """Reference exp through the Hermitian eigendecomposition of iX."""
+    w, v = np.linalg.eigh(1j * coeffs_to_matrix(b, coeffs))
+    return np.einsum("...ij,...j,...kj->...ik", v, np.exp(-1j * w), v.conj())
+
+
+def max_group_defects(g):
+    """Largest |g^dagger g - I| entry and |det g - 1| over a batch."""
+    gram = np.einsum("...ji,...jk->...ik", g.conj(), g) - np.eye(g.shape[-1])
+    return np.max(np.abs(gram)), np.max(np.abs(np.linalg.det(g) - 1.0))
+
+
+@pytest.mark.parametrize("norm", [0.0, 1e-160, 1e-100, 1e-8, 1e-2, 1.0, np.pi, 10.0])
+def test_su3_closed_form_exp_matches_eigh(norm):
+    b = build_basis(3)
+    rng = np.random.default_rng(51)
+    generic = rng.normal(size=(6, 8))
+    generic *= norm / np.linalg.norm(generic, axis=1, keepdims=True)
+    # exactly degenerate spectra (theta, theta, -2 theta), both signs of
+    # det Q, diagonal and Haar-rotated; their coefficient norm is sqrt(12) theta
+    theta = norm / np.sqrt(12.0)
+    degenerate = [
+        matrix_to_coeffs(b, np.diag(1j * np.array([t, t, -2.0 * t]))) for t in (theta, -theta)
+    ] + [algebra_with_phases(b, [t, t, -2.0 * t], seed) for t in (theta, -theta) for seed in (0, 1)]
+    coeffs = np.concatenate([generic, np.stack(degenerate)])  # 12 elements
+    for shape in ((8,), (5, 8), (2, 3, 8)):
+        x = coeffs[: int(np.prod(shape[:-1]))].reshape(shape)
+        g = exp_batch(b, x)
+        assert g.shape == shape[:-1] + (3, 3)
+        assert np.max(np.abs(g - eigh_exp(b, x))) <= 1e-13
+        unitarity, det = max_group_defects(g)
+        assert unitarity <= 1e-13 and det <= 1e-13
+
+
+def test_log_at_identity_is_zero():
+    for n in (3, 4):
+        b = build_basis(n)
+        eye = np.broadcast_to(np.eye(n, dtype=complex), (4, n, n))
+        assert np.max(np.abs(log_batch(b, eye))) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("gap", [0.0, 1e-16, 1e-12, 1e-9, 1e-6])
+def test_log_at_degenerate_spectra(n, gap):
+    # two eigenphases `gap` apart, the same phase at gap 0
+    b = build_basis(n)
+    for theta in (0.3, -1.2):
+        phases = np.array([theta, theta + gap] + [0.7] * (n - 3))
+        phases = np.append(phases, -phases.sum())
+        for seed in (0, 1, 2):
+            x = algebra_with_phases(b, phases, seed)
+            back = log_batch(b, exp_batch(b, x))
+            assert np.max(np.abs(back - x)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_log_batch_shapes(n):
+    b = build_basis(n)
+    rng = np.random.default_rng(52)
+    x = rng.normal(size=(2, 3, b.dim))
+    x *= rng.uniform(0.01, 2.5, size=(2, 3, 1)) / np.linalg.norm(x, axis=-1, keepdims=True)
+    g = exp_batch(b, x)
+    whole = log_batch(b, g)
+    assert whole.shape == (2, 3, b.dim)
+    assert np.max(np.abs(whole - x)) < 1e-10
+    assert np.max(np.abs(log_batch(b, g[1]) - whole[1])) <= 1e-15
+    single = log_batch(b, g[1, 2])
+    assert single.shape == (b.dim,)
+    assert np.max(np.abs(single - whole[1, 2])) <= 1e-15
+
+
 _NEAR_CUT = np.pi - 1e-6
 
 

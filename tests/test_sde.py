@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from heatcurrents import sde
-from heatcurrents.brownian import CovarianceSpec, pointwise_variance
-from heatcurrents.diagnostics import strong_convergence_test, weak_order_test
+from heatcurrents.brownian import CovarianceSpec, covariance_kernel, pointwise_variance
+from heatcurrents.diagnostics import default_config, strong_convergence_test, weak_order_test
 from heatcurrents.fields import AlgebraField
 from heatcurrents.lie import build_basis, exp_batch
 from heatcurrents.rng import substream
@@ -171,6 +171,36 @@ def test_drift_small_after_many_steps():
     state = sample_field(cfg)
     assert state.unitarity_defect() < 1e-11
     assert state.det_defect() < 1e-11
+
+
+def test_su3_drift_small_after_1000_steps():
+    # the closed-form SU(3) exponential keeps a long flow on the group
+    state = sample_field(make_cfg(p=16, m=3, n_steps=1000, n=3))
+    assert state.unitarity_defect() <= 1e-10
+    assert state.det_defect() <= 1e-10
+
+
+def phi3(v):
+    """E Re tr exp(X) / 3 for X in su(3) with i.i.d. N(0, v) coefficients:
+    L^(1)_2(v/2) / 3 * exp(-v/6), the GUE Fourier transform."""
+    return (v * v / 8.0 - 1.5 * v + 3.0) / 3.0 * np.exp(-v / 6.0)
+
+
+@pytest.mark.parametrize("seed", [2027, 2028])
+def test_su3_marginal_matches_exact_finite_step_law(seed):
+    # N i.i.d. Ad-invariant steps of per-direction variance v = C(0,0) dt
+    # give E g_N = phi_3(v)^N I exactly, not only as N grows; at N = 2 the
+    # continuum value exp(-2 C(0,0) t / 3) lies many standard errors away
+    cfg = default_config(n=3, n_steps=2, seed=seed)
+    origin = np.zeros((1, 1))
+    mats = sample_marginal(cfg, origin, 200_000)
+    vals = np.real(np.trace(mats[:, 0], axis1=-2, axis2=-1)) / 3.0
+    c = covariance_kernel(cfg.spec, origin[0], origin[0])
+    se = vals.std(ddof=1) / np.sqrt(len(vals))
+    exact = phi3(c * cfg.dt) ** cfg.n_steps
+    continuum = np.exp(-2.0 * c * cfg.t_end / 3.0)
+    assert abs(vals.mean() - exact) <= 4.0 * se
+    assert abs(vals.mean() - continuum) > 8.0 * se
 
 
 def test_marginal_matches_full_grid_moments():
