@@ -27,19 +27,17 @@ from .diagnostics import (
     weak_order_test,
 )
 from .extension import (
-    CentralTorusElement,
     CohomologyVector,
     LatticeSpec,
     central_brownian_marginal,
     cocycle,
     extended_bracket,
     haar_sample,
-    harmonic_projection,
     leibniz_check,
     reduce_mod_lattice,
     sample_extension,
 )
-from .fields import AlgebraField, OneFormField, exterior_derivative, field_bracket, field_killing
+from .fields import AlgebraField, field_bracket, field_killing
 from .lie import LieBasis, build_basis, exp_batch, log_batch
 from .rng import RNG_ALGORITHM, RngStream, diagnostic_stream, substream
 from .sde import (

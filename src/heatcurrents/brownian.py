@@ -16,13 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import AlgebraField
 from .lie import LieBasis
 from .torus import SpectralBasis
 
 __all__ = [
     "CovarianceSpec",
-    "AlgebraField",
     "synthesize",
     "sample_increment",
     "covariance_kernel",
@@ -102,7 +100,7 @@ def synthesize(basis: SpectralBasis, amp: np.ndarray) -> np.ndarray:
     return np.fft.irfftn(half, s=grid.shape, axes=tuple(range(grid.dim)), norm="forward")
 
 
-def sample_increment(spec: CovarianceSpec, dt: float, streams) -> AlgebraField:
+def sample_increment(spec: CovarianceSpec, dt: float, streams) -> np.ndarray:
     """One centered Gaussian increment of the H-valued Brownian motion.
 
     dB(S) = sum_{m,a} sqrt(dt * w_m) xi_{m,a} e_m(S) T_a with i.i.d.
@@ -116,7 +114,7 @@ def sample_increment(spec: CovarianceSpec, dt: float, streams) -> AlgebraField:
     size = (spec.basis.n_modes, spec.dim_g)
     xi = np.stack([stream.normal(size=size) for stream in streams], axis=1)
     scale = np.sqrt(dt * spec.weights)[:, np.newaxis, np.newaxis]
-    return AlgebraField(coeffs=synthesize(spec.basis, scale * xi), lie=spec.lie)
+    return synthesize(spec.basis, scale * xi)
 
 
 def covariance_kernel(spec: CovarianceSpec, s: np.ndarray, s_prime: np.ndarray) -> float:

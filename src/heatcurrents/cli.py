@@ -77,8 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
             flag, kind, _, help_text = _OPTIONS[key]
             if (command, key) == ("verify", "samples"):
                 help_text = (
-                    "samples per check, at least 1 (default: its acceptance size); "
-                    "drift has a fixed size and does not read it"
+                    "samples per check (default: its acceptance size): at least 2, "
+                    "or 1 for cocycle; drift has a fixed size and does not read it"
                 )
             if flag is not None:
                 sub.add_argument(flag, type=kind, dest=key, help=help_text)

@@ -115,9 +115,13 @@ def one_sided_report(
 
 
 def reports_to_json(reports: list) -> bytes:
-    """Deterministic JSON array of report objects."""
-    doc = [r.to_dict() for r in reports]
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    """Deterministic JSON array of report objects.  JSON (RFC 8259) has no
+    token for a non-finite number, so one is written as null."""
+    doc = [
+        {k: None if isinstance(v, float) and not np.isfinite(v) else v for k, v in d.items()}
+        for d in (r.to_dict() for r in reports)
+    ]
+    return (json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n").encode("utf-8")
 
 
 def default_config(
@@ -593,7 +597,8 @@ def run_check(name: str, seed: int = 0, n_samples: int | None = None) -> list:
     """Run one named diagnostic; returns its StatReport list.
 
     n_samples None runs the check at its acceptance size; `drift` has a
-    fixed size and ignores n_samples.
+    fixed size and ignores n_samples, and every check that estimates a
+    standard error (all but `cocycle`) needs at least 2.
     """
     if name not in CHECK_NAMES:
         raise KeyError(
@@ -601,4 +606,6 @@ def run_check(name: str, seed: int = 0, n_samples: int | None = None) -> list:
         )
     if n_samples is not None and n_samples < 1:
         raise ValueError(f"samples must be >= 1, got {n_samples}")
+    if n_samples == 1 and name not in ("drift", "cocycle"):
+        raise ValueError(f"check {name!r} estimates a standard error: samples must be >= 2")
     return CHECK_NAMES[name](seed, n_samples)

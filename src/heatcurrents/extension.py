@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import AlgebraField, OneFormField, exterior_derivative, field_bracket, field_killing
+from .fields import AlgebraField, field_bracket, field_killing
 from .rng import RngStream, substream
 from .sde import SdeConfig, sample_ensemble
 from .torus import TorusGrid, spectral_derivative
@@ -29,13 +29,11 @@ from .torus import TorusGrid, spectral_derivative
 __all__ = [
     "CohomologyVector",
     "LatticeSpec",
-    "CentralTorusElement",
     "EMBED_DIRECTION",
     "EXTENSION_CENTRAL_STREAM",
     "leibniz_check",
     "cocycle",
     "cocycle_scalars",
-    "harmonic_projection",
     "reduce_mod_lattice",
     "haar_sample",
     "sample_extension",
@@ -111,21 +109,10 @@ class LatticeSpec:
         return cls(generators=np.eye(rank))
 
 
-@dataclass(frozen=True)
-class CentralTorusElement:
-    """Point of Z = R^N / L in lattice coordinates, each in [0, 1)."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coords, dtype=float)
-        if c.ndim != 1:
-            raise ValueError(f"central coordinates must be a vector, got shape {c.shape}")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("central coordinates must be finite")
-        if np.any(c < 0.0) or np.any(c >= 1.0):
-            raise ValueError("central coordinates must lie in [0, 1)")
-        object.__setattr__(self, "coords", c)
+def _check_grid(grid: TorusGrid, *fields: AlgebraField) -> None:
+    for f in fields:
+        if f.grid_shape != grid.shape:
+            raise ValueError(f"field grid shape {f.grid_shape} does not match {grid.shape}")
 
 
 def leibniz_check(grid: TorusGrid, eta: AlgebraField, eta1: AlgebraField) -> float:
@@ -134,10 +121,11 @@ def leibniz_check(grid: TorusGrid, eta: AlgebraField, eta1: AlgebraField) -> flo
     A self-test of the derivative/pairing plumbing; zero to round-off on
     fields band-limited well below the product Nyquist threshold.
     """
+    _check_grid(grid, eta, eta1)
     scalar = field_killing(eta, eta1)  # (*grid.shape,)
     lhs = spectral_derivative(grid, scalar)  # (d, *grid.shape)
-    d_eta = exterior_derivative(grid, eta).components
-    d_eta1 = exterior_derivative(grid, eta1).components
+    d_eta = spectral_derivative(grid, eta.coeffs)  # (d, *grid.shape, dim_g)
+    d_eta1 = spectral_derivative(grid, eta1.coeffs)
     rhs = np.einsum("i...a,ab,...b->i...", d_eta, eta.lie.killing, eta1.coeffs)
     rhs += np.einsum("...a,ab,i...b->i...", eta.coeffs, eta.lie.killing, d_eta1)
     return float(np.max(np.abs(lhs - rhs)))
@@ -145,7 +133,8 @@ def leibniz_check(grid: TorusGrid, eta: AlgebraField, eta1: AlgebraField) -> flo
 
 def cocycle_scalars(grid: TorusGrid, eta: AlgebraField, eta1: AlgebraField) -> np.ndarray:
     """Per-axis scalar class of the 1-form kappa(eta, d eta1): its grid mean."""
-    d_eta1 = exterior_derivative(grid, eta1).components
+    _check_grid(grid, eta, eta1)
+    d_eta1 = spectral_derivative(grid, eta1.coeffs)  # (d, *grid.shape, dim_g)
     form = np.einsum("...a,ab,i...b->i...", eta.coeffs, eta.lie.killing, d_eta1)
     axes = tuple(range(1, 1 + grid.dim))
     return form.mean(axis=axes)
@@ -154,49 +143,35 @@ def cocycle_scalars(grid: TorusGrid, eta: AlgebraField, eta1: AlgebraField) -> n
 def cocycle(grid: TorusGrid, eta: AlgebraField, eta1: AlgebraField) -> CohomologyVector:
     """Killing 2-cocycle omega(eta, eta1) = class of kappa(eta, d eta1).
 
-    Builds the algebra-valued 1-form (scalar pairing times the reference
-    embedding direction) and projects it to its harmonic part.
+    The per-axis scalar classes are written at the reference embedding
+    direction; every other coordinate is zero.
     """
-    scalars = cocycle_scalars(grid, eta, eta1)  # (d,)
     dim_g = eta.lie.dim
-    comps = np.zeros((grid.dim,) + grid.shape + (dim_g,))
-    comps[..., EMBED_DIRECTION] = scalars.reshape((grid.dim,) + (1,) * grid.dim)
-    return harmonic_projection(grid, OneFormField(components=comps, lie=eta.lie))
+    comps = np.zeros((grid.dim, dim_g))
+    comps[:, EMBED_DIRECTION] = cocycle_scalars(grid, eta, eta1)
+    return CohomologyVector(coords=comps.reshape(-1), n_axes=grid.dim, dim_g=dim_g)
 
 
-def harmonic_projection(grid: TorusGrid, omega: OneFormField) -> CohomologyVector:
-    """Constant part of each component: the Hodge representative on T^d.
+def reduce_mod_lattice(v: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
+    """Fundamental-domain representative: fractional lattice coordinates.
 
-    coords[(i, a)] is the grid mean of component i in algebra direction a
-    (equivalently the Killing pairing with the kappa-dual basis).
+    v has shape (..., N) and so does the result, each entry in [0, 1): the
+    point of Z = R^N / L that v projects to, as y - floor(y) for y = G^{-1} v.
     """
-    if omega.grid_shape != grid.shape:
-        raise ValueError(
-            f"one-form grid shape {omega.grid_shape} does not match {grid.shape}"
-        )
-    axes = tuple(range(1, 1 + grid.dim))
-    means = omega.components.mean(axis=axes)  # (d, dim_g)
-    return CohomologyVector(
-        coords=means.reshape(-1), n_axes=grid.dim, dim_g=omega.lie.dim
-    )
-
-
-def reduce_mod_lattice(v: np.ndarray, lattice: LatticeSpec) -> CentralTorusElement:
-    """Fundamental-domain representative: fractional lattice coordinates."""
     v = np.asarray(v, dtype=float)
-    if v.shape != (lattice.rank,):
-        raise ValueError(f"expected vector of length {lattice.rank}, got shape {v.shape}")
-    y = np.linalg.solve(lattice.generators, v)
+    if v.shape[-1:] != (lattice.rank,):
+        raise ValueError(f"expected vectors of length {lattice.rank}, got shape {v.shape}")
+    y = np.linalg.solve(lattice.generators, v[..., np.newaxis])[..., 0]
     frac = y - np.floor(y)
     frac[frac >= 1.0] -= 1.0  # floor rounding at the seam
-    return CentralTorusElement(coords=frac)
+    return frac
 
 
-def haar_sample(lattice: LatticeSpec, stream: RngStream) -> CentralTorusElement:
-    """Uniform draw on the fundamental domain (Haar measure on Z)."""
+def haar_sample(lattice: LatticeSpec, stream: RngStream) -> np.ndarray:
+    """Uniform draw on the fundamental domain (Haar measure on Z), shape (N,)."""
     u = stream.uniform(size=lattice.rank)
     u[u >= 1.0] = 0.0
-    return CentralTorusElement(coords=u)
+    return u
 
 
 def sample_extension(
@@ -220,7 +195,7 @@ def sample_extension(
     fields = sample_ensemble(cfg, n_samples, first_stream=first_stream)
     fibers = np.stack(
         [
-            haar_sample(lattice, substream(cfg.seed, EXTENSION_CENTRAL_STREAM + i)).coords
+            haar_sample(lattice, substream(cfg.seed, EXTENSION_CENTRAL_STREAM + i))
             for i in range(first_stream, first_stream + n_samples)
         ]
     )
@@ -257,10 +232,7 @@ def central_brownian_marginal(
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
     xi = stream.normal(size=(n_samples, lattice.rank))
-    y = np.linalg.solve(lattice.generators, (np.sqrt(t) * xi).T).T
-    frac = y - np.floor(y)
-    frac[frac >= 1.0] -= 1.0
-    return frac
+    return reduce_mod_lattice(np.sqrt(t) * xi, lattice)
 
 
 def wrapped_normal_cdf(x: np.ndarray, mean: float, var: float) -> np.ndarray:

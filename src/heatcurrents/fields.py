@@ -1,10 +1,10 @@
-"""Lie-algebra-valued fields and 1-forms on the torus grid.
+"""Lie-algebra-valued fields on the torus grid.
 
-AlgebraField is a grid of algebra coefficient vectors; OneFormField carries
-one such grid per coordinate axis.  The exterior derivative acts by exact
-Fourier differentiation on each algebra coefficient, so identities like the
-Leibniz rule for the Killing pairing hold to round-off on band-limited
-fields.
+AlgebraField is a grid of algebra coefficient vectors.  The pointwise
+bracket and Killing pairing act on the coefficients; derivatives come from
+`torus.spectral_derivative`, exact Fourier differentiation of each algebra
+coefficient, so identities like the Leibniz rule for the Killing pairing
+hold to round-off on band-limited fields.
 """
 
 from __future__ import annotations
@@ -14,12 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lie import LieBasis, bracket_coeffs, killing_pair
-from .torus import TorusGrid, spectral_derivative
 
 __all__ = [
     "AlgebraField",
-    "OneFormField",
-    "exterior_derivative",
     "field_bracket",
     "field_killing",
 ]
@@ -50,46 +47,6 @@ class AlgebraField:
     @property
     def grid_shape(self) -> tuple:
         return self.coeffs.shape[:-1]
-
-
-@dataclass(frozen=True)
-class OneFormField:
-    """Algebra-valued 1-form: components[i] is the dx^i coefficient field.
-
-    components has shape (d, *grid.shape, dim_g).
-    """
-
-    components: np.ndarray
-    lie: LieBasis
-
-    def __post_init__(self):
-        c = np.asarray(self.components, dtype=float)
-        if c.ndim < 3 or c.shape[-1] != self.lie.dim:
-            raise ValueError(
-                f"expected components of shape (d, *grid, {self.lie.dim}), "
-                f"got {c.shape}"
-            )
-        if not np.all(np.isfinite(c)):
-            raise ValueError("one-form contains non-finite entries")
-        object.__setattr__(self, "components", c)
-
-    @property
-    def grid_shape(self) -> tuple:
-        return self.components.shape[1:-1]
-
-
-def _check_grid(field: AlgebraField, grid: TorusGrid) -> None:
-    if field.grid_shape != grid.shape:
-        raise ValueError(
-            f"field grid shape {field.grid_shape} does not match {grid.shape}"
-        )
-
-
-def exterior_derivative(grid: TorusGrid, eta: AlgebraField) -> OneFormField:
-    """d(eta): exact spectral partials of each algebra coefficient."""
-    _check_grid(eta, grid)
-    comps = spectral_derivative(grid, eta.coeffs)
-    return OneFormField(components=comps, lie=eta.lie)
 
 
 def _check_pair(x: AlgebraField, y: AlgebraField) -> None:

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brownian import AlgebraField, CovarianceSpec, gram_sqrt, kernel_gram, sample_increment
+from .brownian import CovarianceSpec, gram_sqrt, kernel_gram, sample_increment
+from .fields import AlgebraField
 from .lie import LieBasis, exp_batch
 from .rng import RngStream, substream
 from .torus import TorusGrid
@@ -164,7 +165,7 @@ def _flow_field(cfg: SdeConfig, streams, g0: np.ndarray) -> np.ndarray:
         cfg.spec.lie,
         g0,
         cfg.n_steps,
-        lambda _: sample_increment(cfg.spec, dt, streams).coeffs,
+        lambda _: sample_increment(cfg.spec, dt, streams),
     )
 
 

@@ -195,6 +195,22 @@ def test_counts_below_one_rejected(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_one_sample_rejected_where_a_stderr_is_estimated(tmp_path, capsys):
+    # a standard error from one sample is NaN (or a meaningless 0)
+    for check in ("character", "covariance", "weak_order", "strong_order", "regularity", "haar"):
+        argv = ["verify", "--check", check, "--samples", "1", "--out", str(tmp_path / check)]
+        rc, out, err = run(argv, capsys)
+        assert rc == 1, check
+        assert out == "" and err.startswith("error:") and "must be >= 2" in err
+    assert list(tmp_path.iterdir()) == []
+    # cocycle's exact identities take one sample; drift does not read it
+    argv = ["verify", "--check", "cocycle", "--check", "drift", "--samples", "1"]
+    rc, out, _ = run(argv, capsys)
+    assert rc == 0
+    counts = {r["name"]: r["n_samples"] for r in json.loads(out)}
+    assert counts["cocycle_cyclic"] == 1 and counts["drift"] > 1
+
+
 def test_seed_and_stream_id_outside_64_bits_rejected(tmp_path, capsys):
     small = ["--grid", "16", "--modes", "3", "--steps", "2"]
     top = str((1 << 64) - 1)
@@ -289,6 +305,23 @@ def test_verify_multiple_checks(capsys):
     names = {r["name"] for r in json.loads(out)}
     assert "drift" in names
     assert any(n.startswith("cocycle") or "leibniz" in n for n in names)
+
+
+def test_verify_writes_strict_json(tmp_path, capsys):
+    # too few samples for weak_order to resolve its level differences: the
+    # inconclusive report's NaN estimate and stderr are written as null
+    def no_constants(token):
+        raise AssertionError(f"non-JSON token {token}")
+
+    rc, out, _ = run(
+        ["verify", "--check", "weak_order", "--samples", "1000", "--out", str(tmp_path / "r")],
+        capsys,
+    )
+    assert rc == 1
+    (report,) = json.loads(out, parse_constant=no_constants)
+    assert report["estimate"] is None and report["stderr"] is None
+    assert "inconclusive" in report["tolerance_rule"]
+    assert (tmp_path / "r").read_text() == out
 
 
 def test_cocycle_round_trip(tmp_path, capsys):
@@ -431,7 +464,7 @@ def test_extend_stream_id_offsets_every_pair(tmp_path, capsys):
     lattice = LatticeSpec.identity(3)
     for i, coords in enumerate(central):
         stream = substream(5, EXTENSION_CENTRAL_STREAM + 3 + i)
-        assert coords == haar_sample(lattice, stream).coords.tolist()
+        assert coords == haar_sample(lattice, stream).tolist()
 
 
 def test_extend_custom_lattice(tmp_path, capsys):
@@ -487,6 +520,14 @@ def test_installed_script_runs():
     assert json.loads(proc.stdout)[0]["name"] == "drift"
     module = launch([sys.executable, "-m", "heatcurrents", *DRIFT_ARGV])
     assert proc.stdout == module.stdout
+
+
+def test_every_exported_name_resolves():
+    package = Path(heatcurrents.__file__).parent
+    for name in ["heatcurrents"] + [f"heatcurrents.{p.stem}" for p in package.glob("*.py")]:
+        module = importlib.import_module(name)
+        missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+        assert missing == [], name
 
 
 def test_console_script_targets_module_entry_point():

@@ -51,6 +51,8 @@ def test_reports_to_json_shape():
     blob = reports_to_json([r])
     assert blob == reports_to_json([r])
     assert blob.endswith(b"\n")
+    # finite reports keep the bytes of a plain json.dumps
+    assert blob == (json.dumps([r.to_dict()], indent=2, sort_keys=True) + "\n").encode()
     doc = json.loads(blob)
     assert doc[0]["name"] == "demo"
     assert doc[0]["pass"] is True

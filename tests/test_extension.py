@@ -8,7 +8,6 @@ from scipy.stats import kstest
 
 from heatcurrents.extension import (
     EXTENSION_CENTRAL_STREAM,
-    CentralTorusElement,
     CohomologyVector,
     LatticeSpec,
     central_brownian_marginal,
@@ -16,14 +15,13 @@ from heatcurrents.extension import (
     cocycle_scalars,
     extended_bracket,
     haar_sample,
-    harmonic_projection,
     leibniz_check,
     reduce_mod_lattice,
     sample_extension,
     wrapped_normal_cdf,
 )
 from heatcurrents.brownian import CovarianceSpec
-from heatcurrents.fields import AlgebraField, OneFormField, field_bracket, field_killing
+from heatcurrents.fields import AlgebraField, field_bracket, field_killing
 from heatcurrents.lie import build_basis
 from heatcurrents.rng import substream
 from heatcurrents.sde import SdeConfig, sample_field
@@ -52,38 +50,6 @@ def test_cohomology_vector_layout():
         CohomologyVector(coords=np.array([np.inf, 0, 0]), n_axes=1, dim_g=3)
 
 
-def test_harmonic_projection_constant_form():
-    grid = build_grid(2, 8)
-    comps = np.zeros((2,) + grid.shape + (3,))
-    comps[0, ..., 1] = 0.7
-    comps[1, ..., 2] = -0.3
-    v = harmonic_projection(grid, OneFormField(components=comps, lie=LIE2))
-    expected = np.zeros(6)
-    expected[1] = 0.7
-    expected[5] = -0.3
-    assert np.allclose(v.coords, expected, atol=1e-15)
-
-
-def test_harmonic_projection_kills_exact_forms():
-    # df has zero class for any band-limited f
-    grid = build_grid(1, 32)
-    from heatcurrents.fields import exterior_derivative
-
-    f = band_limited(grid, substream(31, 0))
-    v = harmonic_projection(grid, exterior_derivative(grid, f))
-    assert v.norm() < 1e-13
-
-
-def test_harmonic_projection_idempotent():
-    grid = build_grid(1, 16)
-    stream = substream(32, 0)
-    comps = stream.normal(size=(1, 16, 3))
-    v = harmonic_projection(grid, OneFormField(components=comps, lie=LIE2))
-    flat = np.broadcast_to(v.as_components()[:, None, :], (1, 16, 3)).copy()
-    again = harmonic_projection(grid, OneFormField(components=flat, lie=LIE2))
-    assert np.allclose(again.coords, v.coords, atol=1e-15)
-
-
 def test_leibniz_residual_small_for_band_limited():
     grid = build_grid(1, 64)
     stream = substream(33, 0)
@@ -91,6 +57,19 @@ def test_leibniz_residual_small_for_band_limited():
         eta = band_limited(grid, stream, m_max=7)
         eta1 = band_limited(grid, stream, m_max=7)
         assert leibniz_check(grid, eta, eta1) < 1e-10
+
+
+def test_grid_shape_must_match():
+    # a (16, 16, 3) field on the 1-D P=16 grid passes spectral_derivative's
+    # leading-axis check, so only the full grid-shape check catches it
+    grid = build_grid(1, 16)
+    good = band_limited(grid, substream(33, 1))
+    for shape in ((8, 3), (16, 16, 3)):
+        bad = AlgebraField(coeffs=np.zeros(shape), lie=LIE2)
+        for fn in (cocycle, cocycle_scalars, leibniz_check):
+            for args in ((bad, good), (good, bad)):
+                with pytest.raises(ValueError, match="grid shape"):
+                    fn(grid, *args)
 
 
 def test_cocycle_constant_second_argument_vanishes():
@@ -148,17 +127,17 @@ def test_circle_cocycle_value():
 def test_reduce_mod_lattice():
     lat = LatticeSpec.identity(2)
     assert np.allclose(
-        reduce_mod_lattice(np.array([1.25, -0.5]), lat).coords, [0.25, 0.5]
+        reduce_mod_lattice(np.array([1.25, -0.5]), lat), [0.25, 0.5]
     )
     # lattice vectors reduce to zero
     gen = np.array([[2.0, 1.0], [0.0, 1.0]])
     lat2 = LatticeSpec(generators=gen)
     for vec in (gen[:, 0], gen[:, 1], 3 * gen[:, 0] - 2 * gen[:, 1]):
-        assert np.allclose(reduce_mod_lattice(vec, lat2).coords, 0.0, atol=1e-12)
+        assert np.allclose(reduce_mod_lattice(vec, lat2), 0.0, atol=1e-12)
     # idempotence in lattice coordinates
     v = np.array([0.37, -1.12])
-    once = reduce_mod_lattice(v, lat2).coords
-    twice = reduce_mod_lattice(lat2.generators @ once, lat2).coords
+    once = reduce_mod_lattice(v, lat2)
+    twice = reduce_mod_lattice(lat2.generators @ once, lat2)
     assert np.allclose(once, twice, atol=1e-12)
 
 
@@ -172,19 +151,32 @@ def _nudge(x: float, ulps: int) -> float:
 @given(data=st.data())
 def test_reduce_mod_lattice_at_the_seam(data):
     # a few ulps either side of a lattice vector, where floor() and the
-    # solve round-off decide between coordinate 0 and coordinate 1
+    # solve round-off decide between coordinate 0 and coordinate 1; the
+    # vectors also go in as one stacked batch, row by row the same bits
     rank = data.draw(st.integers(1, 4), label="rank")
     tilt = data.draw(st.sampled_from([0.0, 0.3]), label="tilt")
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-    ints = data.draw(st.lists(st.integers(-5, 5), min_size=rank, max_size=rank), label="k")
-    ulps = data.draw(st.lists(st.integers(-4, 4), min_size=rank, max_size=rank), label="ulps")
+    n_rows = data.draw(st.integers(1, 3), label="rows")
+    row = st.lists(st.integers(-5, 5), min_size=rank, max_size=rank)
+    ints = data.draw(st.lists(row, min_size=n_rows, max_size=n_rows), label="k")
+    row = st.lists(st.integers(-4, 4), min_size=rank, max_size=rank)
+    ulps = data.draw(st.lists(row, min_size=n_rows, max_size=n_rows), label="ulps")
     gen = np.eye(rank) + tilt * np.random.default_rng(seed).uniform(-1, 1, (rank, rank))
     lattice = LatticeSpec(generators=gen)
-    v = np.array([_nudge(x, u) for x, u in zip(gen @ np.array(ints, dtype=float), ulps)])
-    coords = reduce_mod_lattice(v, lattice).coords
-    assert np.all((coords >= 0.0) & (coords < 1.0))
-    shift = np.linalg.solve(gen, gen @ coords - v)  # lattice coordinates of G c - v
-    assert np.max(np.abs(shift - np.round(shift))) < 1e-9
+    vs = np.array(
+        [
+            [_nudge(x, u) for x, u in zip(gen @ np.array(k, dtype=float), du)]
+            for k, du in zip(ints, ulps)
+        ]
+    )
+    batch = reduce_mod_lattice(vs, lattice)
+    assert batch.shape == vs.shape
+    for v, from_batch in zip(vs, batch):
+        coords = reduce_mod_lattice(v, lattice)
+        assert np.array_equal(from_batch, coords)
+        assert np.all((coords >= 0.0) & (coords < 1.0))
+        shift = np.linalg.solve(gen, gen @ coords - v)  # lattice coordinates of G c - v
+        assert np.max(np.abs(shift - np.round(shift))) < 1e-9
 
 
 def test_reduce_mod_lattice_homomorphism():
@@ -193,12 +185,12 @@ def test_reduce_mod_lattice_homomorphism():
     for _ in range(50):
         a = stream.normal(size=2) * 3
         b = stream.normal(size=2) * 3
-        direct = reduce_mod_lattice(a + b, lat).coords
+        direct = reduce_mod_lattice(a + b, lat)
         stepwise = reduce_mod_lattice(
-            lat.generators @ reduce_mod_lattice(a, lat).coords
-            + lat.generators @ reduce_mod_lattice(b, lat).coords,
+            lat.generators @ reduce_mod_lattice(a, lat)
+            + lat.generators @ reduce_mod_lattice(b, lat),
             lat,
-        ).coords
+        )
         diff = np.abs(direct - stepwise)
         diff = np.minimum(diff, 1.0 - diff)  # classes may differ by a wrap
         assert np.max(diff) < 1e-12
@@ -213,20 +205,12 @@ def test_lattice_validation():
         reduce_mod_lattice(np.zeros(3), LatticeSpec.identity(2))
 
 
-def test_central_torus_element_validation():
-    CentralTorusElement(coords=np.array([0.0, 0.999]))
-    with pytest.raises(ValueError):
-        CentralTorusElement(coords=np.array([1.0]))
-    with pytest.raises(ValueError):
-        CentralTorusElement(coords=np.array([-0.1]))
-    with pytest.raises(ValueError):
-        CentralTorusElement(coords=np.array([[0.1]]))
-
-
 def test_haar_sample_uniform():
     lat = LatticeSpec.identity(3)
     stream = substream(38, EXTENSION_CENTRAL_STREAM)
-    draws = np.array([haar_sample(lat, stream).coords for _ in range(4000)])
+    draws = np.array([haar_sample(lat, stream) for _ in range(4000)])
+    assert draws.shape == (4000, 3)
+    assert np.all((draws >= 0.0) & (draws < 1.0))
     for axis in range(3):
         assert kstest(draws[:, axis], "uniform").pvalue > 0.01
     assert abs(draws.mean() - 0.5) < 4.0 * draws.std() / np.sqrt(draws.size)
@@ -239,8 +223,8 @@ def test_haar_translation_invariant():
     lat = LatticeSpec.identity(1)
     s1 = substream(39, 1)
     s2 = substream(39, 2)
-    a = np.array([haar_sample(lat, s1).coords[0] for _ in range(3000)])
-    b = np.array([haar_sample(lat, s2).coords[0] for _ in range(3000)])
+    a = np.array([haar_sample(lat, s1)[0] for _ in range(3000)])
+    b = np.array([haar_sample(lat, s2)[0] for _ in range(3000)])
     shifted = (a + 0.37) % 1.0
     assert ks_2samp(shifted, b).pvalue > 0.01
 
