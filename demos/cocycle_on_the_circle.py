@@ -8,9 +8,10 @@ cocycle identity on brackets.
 
 import numpy as np
 
-from heatcurrents import build_basis, build_grid, cocycle, field_bracket
+from heatcurrents import build_basis, build_grid, cocycle
 from heatcurrents.cocycle_checks import random_band_limited
-from heatcurrents.fields import AlgebraField
+from heatcurrents.extension import cocycle_scalars
+from heatcurrents.lie import bracket_coeffs
 from heatcurrents.rng import substream
 from heatcurrents.torus import build_spectrum
 
@@ -20,9 +21,9 @@ x = grid.coordinates()[:, 0]
 
 # closed-form example: X = T_1, kappa(T_1, T_1) = -2
 coef = np.array([1.0, 0.0, 0.0])
-eta = AlgebraField(coeffs=np.cos(x)[:, None] * coef, lie=lie)
-eta1 = AlgebraField(coeffs=np.sin(x)[:, None] * coef, lie=lie)
-value = cocycle(grid, eta, eta1).axis_values()[0]
+eta = np.cos(x)[:, None] * coef  # coefficient fields, (P, dim_g)
+eta1 = np.sin(x)[:, None] * coef
+value = cocycle_scalars(grid, lie, eta, eta1)[0]
 print(f"omega(cos x T1, sin x T1) = {value:+.12f}   (exact: -1)")
 
 # antisymmetry and the cyclic identity on random band-limited triples
@@ -34,12 +35,12 @@ for _ in range(25):
     e1 = random_band_limited(basis, lie, stream)
     e2 = random_band_limited(basis, lie, stream)
     anti = max(anti, np.max(np.abs(
-        cocycle(grid, e0, e1).coords + cocycle(grid, e1, e0).coords
+        cocycle(grid, lie, e0, e1) + cocycle(grid, lie, e1, e0)
     )))
     total = (
-        cocycle(grid, field_bracket(e0, e1), e2).coords
-        + cocycle(grid, field_bracket(e1, e2), e0).coords
-        + cocycle(grid, field_bracket(e2, e0), e1).coords
+        cocycle(grid, lie, bracket_coeffs(lie, e0, e1), e2)
+        + cocycle(grid, lie, bracket_coeffs(lie, e1, e2), e0)
+        + cocycle(grid, lie, bracket_coeffs(lie, e2, e0), e1)
     )
     cyc = max(cyc, np.max(np.abs(total)))
 

@@ -27,7 +27,6 @@ from .diagnostics import (
     weak_order_test,
 )
 from .extension import (
-    CohomologyVector,
     LatticeSpec,
     central_brownian_marginal,
     cocycle,
@@ -37,7 +36,6 @@ from .extension import (
     reduce_mod_lattice,
     sample_extension,
 )
-from .fields import AlgebraField, field_bracket, field_killing
 from .lie import LieBasis, build_basis, exp_batch, log_batch
 from .rng import RNG_ALGORITHM, RngStream, diagnostic_stream, substream
 from .sde import (

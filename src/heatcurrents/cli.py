@@ -19,7 +19,6 @@ import numpy as np
 from .brownian import CovarianceSpec
 from .diagnostics import CHECK_NAMES, reports_to_json, run_check
 from .extension import LatticeSpec, cocycle, sample_extension
-from .fields import AlgebraField
 from .lie import build_basis
 from .rng import substream
 from .sde import SdeConfig, sample_ensemble, sample_field
@@ -209,11 +208,24 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+def _load_field(path: str) -> np.ndarray:
+    """A real, finite .npy coefficient array (*grid, dim_g) as float64."""
+    c = np.load(path)
+    if c.ndim < 2:
+        raise ValueError(f"{path}: expected a (*grid, dim_g) array, got shape {c.shape}")
+    if np.iscomplexobj(c):
+        raise ValueError(f"{path}: su(n) coefficients are real, got dtype {c.dtype}")
+    c = np.asarray(c, dtype=float)
+    if not np.isfinite(c).all():
+        raise ValueError(f"{path}: algebra field contains non-finite entries")
+    return c
+
+
 def _cmd_cocycle(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     lie = build_basis(cfg["group_n"])
-    eta_c = np.load(args.eta)
-    eta1_c = np.load(args.eta1)
+    eta_c = _load_field(args.eta)
+    eta1_c = _load_field(args.eta1)
     if eta_c.shape != eta1_c.shape:
         raise ValueError(
             f"field shapes differ: {eta_c.shape} vs {eta1_c.shape}"
@@ -224,12 +236,11 @@ def _cmd_cocycle(args: argparse.Namespace) -> int:
             f"needs {lie.dim}"
         )
     grid = build_grid(eta_c.ndim - 1, eta_c.shape[0])
-    vec = cocycle(
-        grid,
-        AlgebraField(coeffs=eta_c, lie=lie),
-        AlgebraField(coeffs=eta1_c, lie=lie),
-    )
-    print(json.dumps({"coords": vec.coords.tolist()}, sort_keys=True))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+        coords = cocycle(grid, lie, eta_c, eta1_c)
+    if not np.isfinite(coords).all():
+        raise ValueError("cohomology coordinates must be finite")
+    print(json.dumps({"coords": coords.tolist()}, sort_keys=True, allow_nan=False))
     return 0
 
 

@@ -20,12 +20,12 @@ from .extension import (
     EXTENSION_CENTRAL_STREAM,
     LatticeSpec,
     cocycle,
+    cocycle_scalars,
     extended_bracket,
     haar_sample,
     leibniz_check,
 )
-from .fields import AlgebraField, field_bracket
-from .lie import build_basis
+from .lie import LieBasis, bracket_coeffs, build_basis
 from .rng import diagnostic_stream, substream
 from .sde import sample_marginal
 from .torus import SpectralBasis, build_spectrum
@@ -38,11 +38,11 @@ __all__ = [
 
 
 def random_band_limited(
-    basis: SpectralBasis, lie, stream, scale: float = 1.0
-) -> AlgebraField:
-    """Random field with i.i.d. normal coefficients over the truncated basis."""
+    basis: SpectralBasis, lie: LieBasis, stream, scale: float = 1.0
+) -> np.ndarray:
+    """Random (*grid.shape, dim_g) field, i.i.d. normal over the truncated basis."""
     c = scale * stream.normal(size=(basis.n_modes, lie.dim))
-    return AlgebraField(coeffs=synthesize(basis, c), lie=lie)
+    return synthesize(basis, c)
 
 
 def cocycle_suite(seed: int = 0, n_triples: int = 100, p: int = 64) -> list:
@@ -58,7 +58,7 @@ def cocycle_suite(seed: int = 0, n_triples: int = 100, p: int = 64) -> list:
     for _ in range(20):
         eta = random_band_limited(basis_pair, lie, stream)
         eta1 = random_band_limited(basis_pair, lie, stream)
-        resid = max(resid, leibniz_check(grid, eta, eta1))
+        resid = max(resid, leibniz_check(grid, lie, eta, eta1))
     reports.append(
         make_report("cocycle_leibniz", resid, 0.0, 0.0, 20, atol=1e-10)
     )
@@ -68,7 +68,7 @@ def cocycle_suite(seed: int = 0, n_triples: int = 100, p: int = 64) -> list:
     for _ in range(20):
         eta = random_band_limited(basis_pair, lie, stream)
         eta1 = random_band_limited(basis_pair, lie, stream)
-        v = cocycle(grid, eta, eta1).coords + cocycle(grid, eta1, eta).coords
+        v = cocycle(grid, lie, eta, eta1) + cocycle(grid, lie, eta1, eta)
         anti = max(anti, float(np.max(np.abs(v))))
     reports.append(
         make_report("cocycle_antisymmetry", anti, 0.0, 0.0, 20, atol=1e-10)
@@ -83,9 +83,9 @@ def cocycle_suite(seed: int = 0, n_triples: int = 100, p: int = 64) -> list:
         e1 = random_band_limited(basis_tri, lie, stream)
         e2 = random_band_limited(basis_tri, lie, stream)
         total = (
-            cocycle(grid_tri, field_bracket(e0, e1), e2).coords
-            + cocycle(grid_tri, field_bracket(e1, e2), e0).coords
-            + cocycle(grid_tri, field_bracket(e2, e0), e1).coords
+            cocycle(grid_tri, lie, bracket_coeffs(lie, e0, e1), e2)
+            + cocycle(grid_tri, lie, bracket_coeffs(lie, e1, e2), e0)
+            + cocycle(grid_tri, lie, bracket_coeffs(lie, e2, e0), e1)
         )
         cyc = max(cyc, float(np.max(np.abs(total))))
     reports.append(
@@ -96,13 +96,9 @@ def cocycle_suite(seed: int = 0, n_triples: int = 100, p: int = 64) -> list:
     x_coeff = stream.normal(size=lie.dim)
     kappa_xx = float(x_coeff @ lie.killing @ x_coeff)
     coords = basis_pair.grid.coordinates()[..., 0]
-    eta = AlgebraField(
-        coeffs=np.cos(coords)[..., np.newaxis] * x_coeff, lie=lie
-    )
-    eta1 = AlgebraField(
-        coeffs=np.sin(coords)[..., np.newaxis] * x_coeff, lie=lie
-    )
-    value = cocycle(grid, eta, eta1).axis_values()[0]
+    eta = np.cos(coords)[..., np.newaxis] * x_coeff
+    eta1 = np.sin(coords)[..., np.newaxis] * x_coeff
+    value = cocycle_scalars(grid, lie, eta, eta1)[0]
     reports.append(
         make_report(
             "cocycle_circle_value", value, 0.5 * kappa_xx, 0.0, 1, atol=1e-8
@@ -163,18 +159,18 @@ def haar_suite(seed: int = 0, n_samples: int = 10_000, rank: int = 3) -> list:
         e1 = random_band_limited(basis, lie, gen)
         e2 = random_band_limited(basis, lie, gen)
         zero = np.zeros(grid.dim * lie.dim)
-        b01, c01 = extended_bracket(grid, (e0, zero), (e1, zero))
-        b12, c12 = extended_bracket(grid, (e1, zero), (e2, zero))
-        b20, c20 = extended_bracket(grid, (e2, zero), (e0, zero))
+        b01, c01 = extended_bracket(grid, lie, (e0, zero), (e1, zero))
+        b12, c12 = extended_bracket(grid, lie, (e1, zero), (e2, zero))
+        b20, c20 = extended_bracket(grid, lie, (e2, zero), (e0, zero))
         f_total = (
-            field_bracket(b01, e2).coeffs
-            + field_bracket(b12, e0).coeffs
-            + field_bracket(b20, e1).coeffs
+            bracket_coeffs(lie, b01, e2)
+            + bracket_coeffs(lie, b12, e0)
+            + bracket_coeffs(lie, b20, e1)
         )
         c_total = (
-            cocycle(grid, b01, e2).coords
-            + cocycle(grid, b12, e0).coords
-            + cocycle(grid, b20, e1).coords
+            cocycle(grid, lie, b01, e2)
+            + cocycle(grid, lie, b12, e0)
+            + cocycle(grid, lie, b20, e1)
         )
         field_resid = max(field_resid, float(np.max(np.abs(f_total))))
         central_resid = max(central_resid, float(np.max(np.abs(c_total))))

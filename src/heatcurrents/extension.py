@@ -11,8 +11,11 @@ an independent Haar point.
 The pairing kappa(eta, d eta_1) is scalar-valued per axis.  Classes are
 embedded into the N-dimensional space along a fixed reference algebra
 direction (index ``EMBED_DIRECTION``), which realizes the scalar class
-space inside H^1(M; Lie G) linearly; `CohomologyVector.axis_values` undoes
-the embedding.
+space inside H^1(M; Lie G) linearly; `cocycle_scalars` gives the per-axis
+values before the embedding.
+
+Fields are (*grid.shape, dim_g) coefficient arrays, passed with their
+`LieBasis`; a class is its (N,) coordinate array.
 """
 
 from __future__ import annotations
@@ -21,13 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import AlgebraField, field_bracket, field_killing
+from .lie import LieBasis, bracket_coeffs, killing_pair
 from .rng import RngStream, substream
 from .sde import SdeConfig, sample_ensemble
 from .torus import TorusGrid, spectral_derivative
 
 __all__ = [
-    "CohomologyVector",
     "LatticeSpec",
     "EMBED_DIRECTION",
     "EXTENSION_CENTRAL_STREAM",
@@ -39,7 +41,6 @@ __all__ = [
     "sample_extension",
     "extended_bracket",
     "central_brownian_marginal",
-    "wrapped_normal_cdf",
 ]
 
 # Reference algebra direction along which scalar cocycle classes embed
@@ -49,40 +50,6 @@ EMBED_DIRECTION = 0
 # Stream id offset for the central (Haar / torus Brownian) draws, disjoint
 # from the field streams of ensemble samples and from diagnostic streams.
 EXTENSION_CENTRAL_STREAM = 1 << 33
-
-
-@dataclass(frozen=True)
-class CohomologyVector:
-    """A class in H^1(torus; Lie G) by its harmonic-representative coords.
-
-    coords has length N = n_axes * dim_g, indexed as (axis, direction) in
-    row-major order: coords[i * dim_g + a] multiplies dx^i (x) T_a.
-    """
-
-    coords: np.ndarray
-    n_axes: int
-    dim_g: int
-
-    def __post_init__(self):
-        c = np.asarray(self.coords, dtype=float)
-        if c.shape != (self.n_axes * self.dim_g,):
-            raise ValueError(
-                f"expected {self.n_axes * self.dim_g} coordinates, got shape {c.shape}"
-            )
-        if not np.all(np.isfinite(c)):
-            raise ValueError("cohomology coordinates must be finite")
-        object.__setattr__(self, "coords", c)
-
-    def as_components(self) -> np.ndarray:
-        """(n_axes, dim_g) view: row i holds the algebra coefficients of dx^i."""
-        return self.coords.reshape(self.n_axes, self.dim_g)
-
-    def axis_values(self, direction: int = EMBED_DIRECTION) -> np.ndarray:
-        """Scalar class per axis, read off the embedding direction."""
-        return self.as_components()[:, direction].copy()
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coords))
 
 
 @dataclass(frozen=True)
@@ -109,47 +76,55 @@ class LatticeSpec:
         return cls(generators=np.eye(rank))
 
 
-def _check_grid(grid: TorusGrid, *fields: AlgebraField) -> None:
+def _check_grid(grid: TorusGrid, lie: LieBasis, *fields: np.ndarray) -> None:
+    want = grid.shape + (lie.dim,)
     for f in fields:
-        if f.grid_shape != grid.shape:
-            raise ValueError(f"field grid shape {f.grid_shape} does not match {grid.shape}")
+        if f.shape != want:
+            raise ValueError(f"field shape {f.shape} is not grid shape + (dim_g,) = {want}")
 
 
-def leibniz_check(grid: TorusGrid, eta: AlgebraField, eta1: AlgebraField) -> float:
+def leibniz_check(
+    grid: TorusGrid, lie: LieBasis, eta: np.ndarray, eta1: np.ndarray
+) -> float:
     """Max-norm residual of d kappa(eta, eta1) = kappa(d eta, eta1) + kappa(eta, d eta1).
 
     A self-test of the derivative/pairing plumbing; zero to round-off on
     fields band-limited well below the product Nyquist threshold.
     """
-    _check_grid(grid, eta, eta1)
-    scalar = field_killing(eta, eta1)  # (*grid.shape,)
+    _check_grid(grid, lie, eta, eta1)
+    scalar = killing_pair(lie, eta, eta1)  # (*grid.shape,)
     lhs = spectral_derivative(grid, scalar)  # (d, *grid.shape)
-    d_eta = spectral_derivative(grid, eta.coeffs)  # (d, *grid.shape, dim_g)
-    d_eta1 = spectral_derivative(grid, eta1.coeffs)
-    rhs = np.einsum("i...a,ab,...b->i...", d_eta, eta.lie.killing, eta1.coeffs)
-    rhs += np.einsum("...a,ab,i...b->i...", eta.coeffs, eta.lie.killing, d_eta1)
+    d_eta = spectral_derivative(grid, eta)  # (d, *grid.shape, dim_g)
+    d_eta1 = spectral_derivative(grid, eta1)
+    rhs = np.einsum("i...a,ab,...b->i...", d_eta, lie.killing, eta1)
+    rhs += np.einsum("...a,ab,i...b->i...", eta, lie.killing, d_eta1)
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def cocycle_scalars(grid: TorusGrid, eta: AlgebraField, eta1: AlgebraField) -> np.ndarray:
-    """Per-axis scalar class of the 1-form kappa(eta, d eta1): its grid mean."""
-    _check_grid(grid, eta, eta1)
-    d_eta1 = spectral_derivative(grid, eta1.coeffs)  # (d, *grid.shape, dim_g)
-    form = np.einsum("...a,ab,i...b->i...", eta.coeffs, eta.lie.killing, d_eta1)
+def cocycle_scalars(
+    grid: TorusGrid, lie: LieBasis, eta: np.ndarray, eta1: np.ndarray
+) -> np.ndarray:
+    """Per-axis scalar class of the 1-form kappa(eta, d eta1): its grid mean, (d,)."""
+    _check_grid(grid, lie, eta, eta1)
+    d_eta1 = spectral_derivative(grid, eta1)  # (d, *grid.shape, dim_g)
+    form = np.einsum("...a,ab,i...b->i...", eta, lie.killing, d_eta1)
     axes = tuple(range(1, 1 + grid.dim))
     return form.mean(axis=axes)
 
 
-def cocycle(grid: TorusGrid, eta: AlgebraField, eta1: AlgebraField) -> CohomologyVector:
+def cocycle(
+    grid: TorusGrid, lie: LieBasis, eta: np.ndarray, eta1: np.ndarray
+) -> np.ndarray:
     """Killing 2-cocycle omega(eta, eta1) = class of kappa(eta, d eta1).
 
-    The per-axis scalar classes are written at the reference embedding
-    direction; every other coordinate is zero.
+    Returns the N = d * dim_g harmonic-representative coordinates, indexed
+    (axis, direction) row-major: entry i * dim_g + a multiplies dx^i (x) T_a.
+    The per-axis scalar classes sit at a = EMBED_DIRECTION; every other
+    coordinate is zero.
     """
-    dim_g = eta.lie.dim
-    comps = np.zeros((grid.dim, dim_g))
-    comps[:, EMBED_DIRECTION] = cocycle_scalars(grid, eta, eta1)
-    return CohomologyVector(coords=comps.reshape(-1), n_axes=grid.dim, dim_g=dim_g)
+    comps = np.zeros((grid.dim, lie.dim))
+    comps[:, EMBED_DIRECTION] = cocycle_scalars(grid, lie, eta, eta1)
+    return comps.reshape(-1)
 
 
 def reduce_mod_lattice(v: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
@@ -202,19 +177,16 @@ def sample_extension(
     return fields, fibers
 
 
-def extended_bracket(
-    grid: TorusGrid,
-    x: tuple,
-    y: tuple,
-) -> tuple:
+def extended_bracket(grid: TorusGrid, lie: LieBasis, x: tuple, y: tuple) -> tuple:
     """Centrally extended bracket: ([eta, eta1], omega(eta, eta1)).
 
-    x and y are (AlgebraField, central vector) pairs; central arguments do
-    not contribute, which is what makes the extension central.
+    x and y are (coefficient field, central vector) pairs; central
+    arguments do not contribute, which is what makes the extension central.
     """
     eta, _ = x
     eta1, _ = y
-    return field_bracket(eta, eta1), cocycle(grid, eta, eta1)
+    omega = cocycle(grid, lie, eta, eta1)  # checks both shapes first
+    return bracket_coeffs(lie, eta, eta1), omega
 
 
 def central_brownian_marginal(
@@ -234,18 +206,3 @@ def central_brownian_marginal(
     xi = stream.normal(size=(n_samples, lattice.rank))
     return reduce_mod_lattice(np.sqrt(t) * xi, lattice)
 
-
-def wrapped_normal_cdf(x: np.ndarray, mean: float, var: float) -> np.ndarray:
-    """CDF on [0, 1) of a normal(mean, var) wrapped around the unit circle.
-
-    Reference law for the central Brownian marginal per lattice coordinate,
-    summed over 64 wraps either side of the circle.
-    """
-    from scipy.stats import norm
-
-    x = np.asarray(x, dtype=float)
-    sd = np.sqrt(var)
-    total = np.zeros_like(x)
-    for j in range(-64, 65):
-        total += norm.cdf(x + j, loc=mean, scale=sd) - norm.cdf(j, loc=mean, scale=sd)
-    return total

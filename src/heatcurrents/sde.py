@@ -32,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .brownian import CovarianceSpec, gram_sqrt, kernel_gram, sample_increment
-from .fields import AlgebraField
 from .lie import LieBasis, exp_batch
 from .rng import RngStream, substream
 from .torus import TorusGrid
@@ -151,9 +150,10 @@ def identity(shape: tuple, n: int) -> np.ndarray:
     return np.broadcast_to(np.eye(n, dtype=complex), tuple(shape) + (n, n))
 
 
-def step(state: FieldState, incr: AlgebraField, dt: float) -> FieldState:
-    """One geodesic step: g <- g . exp(dB) pointwise, t <- t + dt."""
-    mats = flow(incr.lie, state.mats, 1, lambda _: incr.coeffs)
+def step(lie: LieBasis, state: FieldState, incr: np.ndarray, dt: float) -> FieldState:
+    """One geodesic step g <- g . exp(incr) pointwise, t <- t + dt; incr
+    holds the (*grid.shape, dim_g) algebra coefficients of dB."""
+    mats = flow(lie, state.mats, 1, lambda _: incr)
     return FieldState(grid=state.grid, mats=mats, t=state.t + dt)
 
 

@@ -15,7 +15,6 @@ import heatcurrents
 from heatcurrents import cli, diagnostics, extension
 from heatcurrents.diagnostics import REGULARITY_STRIDE, make_report
 from heatcurrents.extension import EXTENSION_CENTRAL_STREAM, LatticeSpec, cocycle, haar_sample
-from heatcurrents.fields import AlgebraField
 from heatcurrents.lie import build_basis
 from heatcurrents.rng import substream
 from heatcurrents.storage import read_ensemble
@@ -343,11 +342,7 @@ def test_cocycle_round_trip(tmp_path, capsys):
     )
     assert rc == 0
     coords = np.asarray(json.loads(out)["coords"])
-    expected = cocycle(
-        grid,
-        AlgebraField(coeffs=eta_c, lie=lie),
-        AlgebraField(coeffs=eta1_c, lie=lie),
-    ).coords
+    expected = cocycle(grid, lie, eta_c, eta1_c)
     assert np.allclose(coords, expected, atol=1e-14)
 
 
@@ -387,11 +382,7 @@ def test_cocycle_on_small_grid_needs_no_flags(tmp_path, capsys):
         capsys,
     )
     assert rc == 0, err
-    expected = cocycle(
-        grid,
-        AlgebraField(coeffs=eta_c, lie=lie),
-        AlgebraField(coeffs=eta1_c, lie=lie),
-    ).coords
+    expected = cocycle(grid, lie, eta_c, eta1_c)
     assert json.loads(out)["coords"] == expected.tolist()
 
 
@@ -408,6 +399,56 @@ def test_cocycle_shape_mismatch(tmp_path, capsys):
     )
     assert rc == 1
     assert "shapes differ" in err
+
+
+def _cocycle_pair(tmp_path, eta_c, eta1_c, capsys):
+    np.save(tmp_path / "eta.npy", eta_c)
+    np.save(tmp_path / "eta1.npy", eta1_c)
+    return run(
+        ["cocycle", "--eta", str(tmp_path / "eta.npy"), "--eta1", str(tmp_path / "eta1.npy")],
+        capsys,
+    )
+
+
+def _circle_pair():
+    x = build_grid(1, 32).coordinates()[:, 0]
+    return (
+        np.stack([np.cos(x), np.sin(2 * x), 0 * x], axis=-1),
+        np.stack([np.sin(x), 0 * x, np.cos(3 * x)], axis=-1),
+    )
+
+
+def _with_nan(c):
+    c = c.copy()
+    c[5, 1] = np.nan
+    return c
+
+
+@pytest.mark.parametrize(
+    "transform, message",
+    [
+        pytest.param(_with_nan, "non-finite", id="nan"),
+        pytest.param(lambda c: c.astype(complex), "real", id="complex"),
+        pytest.param(lambda c: c[0, 0], "got shape ()", id="scalar"),
+        # finite inputs whose pairing overflows: the class must not reach stdout
+        pytest.param(lambda c: 1e200 * c, "must be finite", id="overflow"),
+    ],
+)
+def test_cocycle_rejects_bad_input(tmp_path, capsys, transform, message):
+    eta_c, eta1_c = _circle_pair()
+    rc, out, err = _cocycle_pair(tmp_path, transform(eta_c), transform(eta1_c), capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith("error:") and message in err
+
+
+def test_cocycle_accepts_integer_and_bool_fields(tmp_path, capsys):
+    grid = build_grid(1, 16)
+    eta_c = np.arange(48).reshape(16, 3) % 5
+    eta1_c = (np.arange(48).reshape(16, 3) % 3).astype(bool)
+    rc, out, err = _cocycle_pair(tmp_path, eta_c, eta1_c, capsys)
+    assert rc == 0, err
+    expected = cocycle(grid, build_basis(2), eta_c.astype(float), eta1_c.astype(float))
+    assert json.loads(out)["coords"] == expected.tolist()
 
 
 def test_extend_outputs(tmp_path, capsys):

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import kstest
+from scipy.stats import kstest, norm
 
 from heatcurrents.extension import (
+    EMBED_DIRECTION,
     EXTENSION_CENTRAL_STREAM,
-    CohomologyVector,
     LatticeSpec,
     central_brownian_marginal,
     cocycle,
@@ -18,11 +18,9 @@ from heatcurrents.extension import (
     leibniz_check,
     reduce_mod_lattice,
     sample_extension,
-    wrapped_normal_cdf,
 )
 from heatcurrents.brownian import CovarianceSpec
-from heatcurrents.fields import AlgebraField, field_bracket, field_killing
-from heatcurrents.lie import build_basis
+from heatcurrents.lie import bracket_coeffs, build_basis, killing_pair
 from heatcurrents.rng import substream
 from heatcurrents.sde import SdeConfig, sample_field
 from heatcurrents.torus import build_grid, build_spectrum, quadrature
@@ -30,24 +28,43 @@ from heatcurrents.torus import build_grid, build_spectrum, quadrature
 LIE2 = build_basis(2)
 
 
+def wrapped_normal_cdf(x: np.ndarray, mean: float, var: float) -> np.ndarray:
+    """CDF on [0, 1) of a normal(mean, var) wrapped around the unit circle.
+
+    Reference law for the central Brownian marginal per lattice coordinate,
+    summed over 64 wraps either side of the circle.
+    """
+    x = np.asarray(x, dtype=float)
+    sd = np.sqrt(var)
+    total = np.zeros_like(x)
+    for j in range(-64, 65):
+        total += norm.cdf(x + j, loc=mean, scale=sd) - norm.cdf(j, loc=mean, scale=sd)
+    return total
+
+
 def band_limited(grid, stream, m_max=5, scale=1.0):
-    """Random real trig polynomial per algebra direction, modes <= m_max."""
+    """Random real trig polynomial per algebra direction, modes <= m_max:
+    a (*grid.shape, dim_g) coefficient field."""
     basis = build_spectrum(grid.dim, grid.points_per_axis, m_max)
     coef = scale * stream.normal(size=(basis.n_modes, LIE2.dim))
-    coeffs = np.tensordot(basis.evaluate(grid.coordinates()), coef, axes=(0, 0))
-    return AlgebraField(coeffs=coeffs, lie=LIE2)
+    return np.tensordot(basis.evaluate(grid.coordinates()), coef, axes=(0, 0))
 
 
-def test_cohomology_vector_layout():
-    v = CohomologyVector(coords=np.arange(6.0), n_axes=2, dim_g=3)
-    assert v.as_components().shape == (2, 3)
-    assert np.array_equal(v.axis_values(), [0.0, 3.0])
-    assert np.array_equal(v.axis_values(direction=2), [2.0, 5.0])
-    assert v.norm() == pytest.approx(np.sqrt(np.sum(np.arange(6.0) ** 2)))
-    with pytest.raises(ValueError):
-        CohomologyVector(coords=np.arange(5.0), n_axes=2, dim_g=3)
-    with pytest.raises(ValueError):
-        CohomologyVector(coords=np.array([np.inf, 0, 0]), n_axes=1, dim_g=3)
+def test_cocycle_coordinate_layout():
+    # N = d * dim_g coordinates, (axis, direction) row-major; only the
+    # embedding direction carries the per-axis scalar classes
+    grid = build_grid(2, 16)
+    stream = substream(33, 2)
+    eta = band_limited(grid, stream, m_max=3)
+    eta1 = band_limited(grid, stream, m_max=3)
+    coords = cocycle(grid, LIE2, eta, eta1)
+    assert coords.shape == (grid.dim * LIE2.dim,)
+    comps = coords.reshape(grid.dim, LIE2.dim)
+    scalars = cocycle_scalars(grid, LIE2, eta, eta1)
+    assert np.all(np.abs(scalars) > 1e-3)
+    assert np.array_equal(comps[:, EMBED_DIRECTION], scalars)
+    others = np.delete(comps, EMBED_DIRECTION, axis=1)
+    assert np.all(others == 0.0)
 
 
 def test_leibniz_residual_small_for_band_limited():
@@ -56,39 +73,36 @@ def test_leibniz_residual_small_for_band_limited():
     for _ in range(5):
         eta = band_limited(grid, stream, m_max=7)
         eta1 = band_limited(grid, stream, m_max=7)
-        assert leibniz_check(grid, eta, eta1) < 1e-10
+        assert leibniz_check(grid, LIE2, eta, eta1) < 1e-10
 
 
 def test_grid_shape_must_match():
     # a (16, 16, 3) field on the 1-D P=16 grid passes spectral_derivative's
-    # leading-axis check, so only the full grid-shape check catches it
+    # leading-axis check, so only the full grid-shape check catches it; a
+    # (16, 4) field has the grid right and the su(2) coefficient count wrong
     grid = build_grid(1, 16)
     good = band_limited(grid, substream(33, 1))
-    for shape in ((8, 3), (16, 16, 3)):
-        bad = AlgebraField(coeffs=np.zeros(shape), lie=LIE2)
+    for shape in ((8, 3), (16, 16, 3), (16, 4)):
+        bad = np.zeros(shape)
         for fn in (cocycle, cocycle_scalars, leibniz_check):
             for args in ((bad, good), (good, bad)):
                 with pytest.raises(ValueError, match="grid shape"):
-                    fn(grid, *args)
+                    fn(grid, LIE2, *args)
 
 
 def test_cocycle_constant_second_argument_vanishes():
     grid = build_grid(1, 32)
     eta = band_limited(grid, substream(34, 0))
-    const = AlgebraField(coeffs=np.ones((32, 3)) * [0.2, -1.0, 0.5], lie=LIE2)
-    assert cocycle(grid, eta, const).norm() < 1e-14
+    const = np.ones((32, 3)) * [0.2, -1.0, 0.5]
+    assert np.linalg.norm(cocycle(grid, LIE2, eta, const)) < 1e-14
 
 
 def test_cocycle_bilinear():
     grid = build_grid(1, 32)
     stream = substream(35, 0)
     eta, eta1, eta2 = (band_limited(grid, stream) for _ in range(3))
-    lhs = cocycle(
-        grid,
-        AlgebraField(coeffs=2.0 * eta.coeffs - 0.5 * eta2.coeffs, lie=LIE2),
-        eta1,
-    ).coords
-    rhs = 2.0 * cocycle(grid, eta, eta1).coords - 0.5 * cocycle(grid, eta2, eta1).coords
+    lhs = cocycle(grid, LIE2, 2.0 * eta - 0.5 * eta2, eta1)
+    rhs = 2.0 * cocycle(grid, LIE2, eta, eta1) - 0.5 * cocycle(grid, LIE2, eta2, eta1)
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
@@ -98,7 +112,7 @@ def test_cocycle_antisymmetric():
     for _ in range(5):
         eta = band_limited(grid, stream, m_max=7)
         eta1 = band_limited(grid, stream, m_max=7)
-        total = cocycle(grid, eta, eta1).coords + cocycle(grid, eta1, eta).coords
+        total = cocycle(grid, LIE2, eta, eta1) + cocycle(grid, LIE2, eta1, eta)
         assert np.max(np.abs(total)) < 1e-10
 
 
@@ -108,20 +122,20 @@ def test_circle_cocycle_value():
     grid = build_grid(1, 64)
     x = grid.coordinates()[:, 0]
     coef = np.array([0.3, -0.7, 0.4])
-    eta = AlgebraField(coeffs=np.cos(x)[:, None] * coef, lie=LIE2)
-    eta1 = AlgebraField(coeffs=np.sin(x)[:, None] * coef, lie=LIE2)
+    eta = np.cos(x)[:, None] * coef
+    eta1 = np.sin(x)[:, None] * coef
 
     kappa_xx = float(coef @ LIE2.killing @ coef)
-    assert cocycle_scalars(grid, eta, eta1)[0] == pytest.approx(
+    assert cocycle_scalars(grid, LIE2, eta, eta1)[0] == pytest.approx(
         0.5 * kappa_xx, abs=1e-12
     )
 
     # independent route: quadrature of the pairing over the circle / (2 pi)
-    d_eta1 = AlgebraField(coeffs=np.cos(x)[:, None] * coef, lie=LIE2)
-    oracle = quadrature(grid, field_killing(eta, d_eta1)) / (2 * np.pi)
-    got = cocycle(grid, eta, eta1)
-    assert got.axis_values()[0] == pytest.approx(oracle, abs=1e-12)
-    assert got.coords[1] == 0.0 and got.coords[2] == 0.0
+    d_eta1 = np.cos(x)[:, None] * coef
+    oracle = quadrature(grid, killing_pair(LIE2, eta, d_eta1)) / (2 * np.pi)
+    got = cocycle(grid, LIE2, eta, eta1)
+    assert got[EMBED_DIRECTION] == pytest.approx(oracle, abs=1e-12)
+    assert got[1] == 0.0 and got[2] == 0.0
 
 
 def test_reduce_mod_lattice():
@@ -261,19 +275,19 @@ def test_extended_bracket_structure():
     eta1 = band_limited(grid, stream, m_max=7)
     z = np.array([0.3])
 
-    fld, cls = extended_bracket(grid, (eta, z), (eta1, z))
-    assert np.allclose(fld.coeffs, field_bracket(eta, eta1).coeffs)
+    fld, cls = extended_bracket(grid, LIE2, (eta, z), (eta1, z))
+    assert np.allclose(fld, bracket_coeffs(LIE2, eta, eta1))
 
     # alternating: [x, x] = 0 in both slots
-    fld_xx, cls_xx = extended_bracket(grid, (eta, z), (eta, z))
-    assert np.max(np.abs(fld_xx.coeffs)) < 1e-12
-    assert cls_xx.norm() < 1e-11
+    fld_xx, cls_xx = extended_bracket(grid, LIE2, (eta, z), (eta, z))
+    assert np.max(np.abs(fld_xx)) < 1e-12
+    assert np.linalg.norm(cls_xx) < 1e-11
 
     # central arguments never contribute
-    zero = AlgebraField(coeffs=np.zeros_like(eta.coeffs), lie=LIE2)
-    fld_c, cls_c = extended_bracket(grid, (zero, np.array([5.0])), (eta1, z))
-    assert np.max(np.abs(fld_c.coeffs)) == 0.0
-    assert cls_c.norm() < 1e-14
+    zero = np.zeros_like(eta)
+    fld_c, cls_c = extended_bracket(grid, LIE2, (zero, np.array([5.0])), (eta1, z))
+    assert np.max(np.abs(fld_c)) == 0.0
+    assert np.linalg.norm(cls_c) < 1e-14
 
 
 def test_extended_jacobi():
@@ -282,13 +296,13 @@ def test_extended_jacobi():
     stream = substream(41, 0)
     for _ in range(5):
         fields = [band_limited(grid, stream, m_max=5, scale=0.8) for _ in range(3)]
-        field_resid = np.zeros_like(fields[0].coeffs)
+        field_resid = np.zeros_like(fields[0])
         central_resid = np.zeros(3)
         for i in range(3):
             x, y, z = fields[i], fields[(i + 1) % 3], fields[(i + 2) % 3]
-            inner = field_bracket(x, y)
-            field_resid += field_bracket(inner, z).coeffs
-            central_resid += cocycle(grid, inner, z).coords
+            inner = bracket_coeffs(LIE2, x, y)
+            field_resid += bracket_coeffs(LIE2, inner, z)
+            central_resid += cocycle(grid, LIE2, inner, z)
         assert np.max(np.abs(field_resid)) < 1e-10
         assert np.max(np.abs(central_resid)) < 1e-9
 

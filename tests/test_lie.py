@@ -6,7 +6,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from heatcurrents.fields import AlgebraField
 from heatcurrents.lie import (
     bracket_coeffs,
     build_basis,
@@ -327,16 +326,6 @@ def test_coeff_matrix_round_trip():
     rng = np.random.default_rng(50)
     coeffs = rng.normal(size=(7, b.dim))
     assert np.max(np.abs(matrix_to_coeffs(b, coeffs_to_matrix(b, coeffs)) - coeffs)) < 1e-12
-
-
-def test_algebra_field_validation():
-    b = build_basis(2)
-    with pytest.raises(ValueError):
-        AlgebraField(coeffs=np.zeros((16, 4)), lie=b)
-    bad = np.zeros((16, 3))
-    bad[5, 0] = np.nan
-    with pytest.raises(ValueError):
-        AlgebraField(coeffs=bad, lie=b)
 
 
 def test_field_state_defects_flag_corruption():

@@ -1,12 +1,13 @@
 """Geodesic Euler integrator: invariants, determinism, dual-route agreement."""
 
+import math
+
 import numpy as np
 import pytest
 
 from heatcurrents import sde
 from heatcurrents.brownian import CovarianceSpec, covariance_kernel, pointwise_variance
 from heatcurrents.diagnostics import default_config, strong_convergence_test, weak_order_test
-from heatcurrents.fields import AlgebraField
 from heatcurrents.lie import build_basis, exp_batch
 from heatcurrents.rng import substream
 from heatcurrents.sde import (
@@ -52,17 +53,15 @@ def test_config_validation():
 def test_step_zero_increment():
     grid = build_grid(1, 16)
     state = FieldState(grid=grid, mats=identity(grid.shape, 2), t=0.0)
-    incr = AlgebraField(coeffs=np.zeros((16, 3)), lie=LIE2)
-    out = step(state, incr, 0.25)
+    out = step(LIE2, state, np.zeros((16, 3)), 0.25)
     assert np.array_equal(out.mats, state.mats)
     assert out.t == 0.25
 
 
 def test_step_shape_mismatch():
     state = FieldState(grid=build_grid(1, 16), mats=identity((16,), 2), t=0.0)
-    incr = AlgebraField(coeffs=np.zeros((8, 3)), lie=LIE2)
     with pytest.raises(ValueError, match="shape"):
-        step(state, incr, 0.1)
+        step(LIE2, state, np.zeros((8, 3)), 0.1)
 
 
 def test_field_state_validation():
@@ -177,25 +176,40 @@ def test_su3_drift_small_after_1000_steps():
     assert state.det_defect() <= 1e-10
 
 
-def phi3(v):
-    """E Re tr exp(X) / 3 for X in su(3) with i.i.d. N(0, v) coefficients:
-    L^(1)_2(v/2) / 3 * exp(-v/6), the GUE Fourier transform."""
-    return (v * v / 8.0 - 1.5 * v + 3.0) / 3.0 * np.exp(-v / 6.0)
+def phi(n, v):
+    """E Re tr exp(X) / n for X in su(n) with i.i.d. N(0, v) coefficients:
+    L^(1)_{n-1}(v/2) / n * exp(-(n-1) v / (4n)), the GUE Fourier transform.
+    n = 3 gives (v^2/8 - 3v/2 + 3)/3 e^{-v/6}; n = 4 gives
+    (4 - 6x + 2x^2 - x^3/6)/4 e^{-3v/16} with x = v/2."""
+    x = v / 2.0
+    laguerre = sum(
+        (-1) ** i * math.comb(n, n - 1 - i) * x**i / math.factorial(i) for i in range(n)
+    )
+    return laguerre / n * np.exp(-(n - 1) * v / (4.0 * n))
 
 
-@pytest.mark.parametrize("seed", [2027, 2028])
-def test_su3_marginal_matches_exact_finite_step_law(seed):
+@pytest.mark.parametrize(
+    "n, seed",
+    [
+        pytest.param(3, 2027, id="2027"),
+        pytest.param(3, 2028, id="2028"),
+        pytest.param(4, 2027, id="su4-2027"),
+        pytest.param(4, 2028, id="su4-2028"),
+    ],
+)
+def test_su3_marginal_matches_exact_finite_step_law(n, seed):
     # N i.i.d. Ad-invariant steps of per-direction variance v = C(0,0) dt
-    # give E g_N = phi_3(v)^N I exactly, not only as N grows; at N = 2 the
-    # continuum value exp(-2 C(0,0) t / 3) lies many standard errors away
-    cfg = default_config(n=3, n_steps=2, seed=seed)
+    # give E g_N = phi_n(v)^N I exactly, not only as N grows; at N = 2 the
+    # continuum value exp(-(n^2 - 1) C(0,0) t / (4n)) lies many standard
+    # errors away.  n = 3 runs the closed-form exponential, n = 4 the eigh one
+    cfg = default_config(n=n, n_steps=2, seed=seed)
     origin = np.zeros((1, 1))
     mats = sample_marginal(cfg, origin, 200_000)
-    vals = np.real(np.trace(mats[:, 0], axis1=-2, axis2=-1)) / 3.0
+    vals = np.real(np.trace(mats[:, 0], axis1=-2, axis2=-1)) / n
     c = covariance_kernel(cfg.spec, origin[0], origin[0])
     se = vals.std(ddof=1) / np.sqrt(len(vals))
-    exact = phi3(c * cfg.dt) ** cfg.n_steps
-    continuum = np.exp(-2.0 * c * cfg.t_end / 3.0)
+    exact = phi(n, c * cfg.dt) ** cfg.n_steps
+    continuum = np.exp(-(n * n - 1) * c * cfg.t_end / (4.0 * n))
     assert abs(vals.mean() - exact) <= 4.0 * se
     assert abs(vals.mean() - continuum) > 8.0 * se
 
