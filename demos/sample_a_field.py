@@ -12,7 +12,7 @@ from heatcurrents import default_config, sample_field, substream
 cfg = default_config()  # d=1, P=64, k=2, M_max=16, SU(2), 256 steps
 state = sample_field(cfg, stream=substream(seed := 42, 0))
 
-print(f"grid points: {state.mats.shape[0]}, terminal time t = {state.t}")
+print(f"grid points: {state.mats.shape[0]}, terminal time t = {cfg.t_end}")
 print(f"max ||g^H g - I||_F over the grid: {state.unitarity_defect():.3e}")
 print(f"max |det g - 1| over the grid:     {state.det_defect():.3e}")
 

@@ -144,15 +144,15 @@ def pointwise_variance(spec: CovarianceSpec) -> float:
     return float((w[0] + 2.0 * np.sum(w[1::2])) / (2.0 * np.pi) ** d)
 
 
-def gram_sqrt(gram: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def gram_sqrt(gram: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root by eigen-decomposition.
 
-    Small negative eigenvalues (round-off) are clipped to zero; genuinely
-    negative spectra are rejected.
+    Eigenvalues down to -1e-12 * max(1, max |eigenvalue|) are round-off
+    and clip to zero; a more negative one is rejected.
     """
     gram = np.asarray(gram, dtype=float)
     w, v = np.linalg.eigh(0.5 * (gram + gram.T))
-    floor = -tol * max(1.0, float(np.max(np.abs(w))))
+    floor = -1e-12 * max(1.0, float(np.max(np.abs(w))))
     if np.min(w) < floor:
         raise ValueError(f"matrix is not positive semidefinite (min eig {np.min(w):.3e})")
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T

@@ -22,7 +22,7 @@ from .extension import LatticeSpec, cocycle, sample_extension
 from .lie import build_basis
 from .rng import substream
 from .sde import SdeConfig, sample_ensemble, sample_field
-from .storage import EnsembleManifest, StorageError, write_atomic, write_ensemble
+from .storage import EnsembleManifest, StorageError, ensemble_files, write_ensemble, write_files
 from .torus import build_grid, build_spectrum
 
 __all__ = ["run_cli", "main"]
@@ -104,6 +104,10 @@ def _resolve(args: argparse.Namespace) -> dict:
         cfg["samples"] = None  # each check runs at its own acceptance size
     if args.config:
         raw = json.loads(Path(args.config).read_text())
+        if not isinstance(raw, dict):
+            raise ValueError(
+                f"--config must hold a JSON object, got {type(raw).__name__}"
+            )
         unknown = set(raw) - set(keys)
         if unknown:
             raise ValueError(f"unknown config keys for {args.command}: {sorted(unknown)}")
@@ -204,13 +208,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     payload = reports_to_json(reports)
     sys.stdout.write(payload.decode("utf-8"))
     if cfg["out"]:
-        write_atomic(cfg["out"], payload)
+        write_files({cfg["out"]: payload})
     return 0 if all(r.passed for r in reports) else 1
 
 
 def _load_field(path: str) -> np.ndarray:
     """A real, finite .npy coefficient array (*grid, dim_g) as float64."""
     c = np.load(path)
+    if not isinstance(c, np.ndarray):  # an .npz archive
+        c.close()
+        raise ValueError(f"{path}: expected a .npy array, got {type(c).__name__}")
     if c.ndim < 2:
         raise ValueError(f"{path}: expected a (*grid, dim_g) array, got shape {c.shape}")
     if np.iscomplexobj(c):
@@ -254,13 +261,12 @@ def _cmd_extend(args: argparse.Namespace) -> int:
         sde_cfg, lattice, cfg["samples"], first_stream=cfg["stream_id"]
     )
     cfg["lattice"] = lattice.generators.tolist()
-    manifest = _manifest(cfg, cfg["samples"])
-    write_ensemble(out, manifest, fields)
+    _, files = ensemble_files(out, _manifest(cfg, cfg["samples"]), fields)
     central_doc = {"central": fibers.tolist()}
-    write_atomic(
-        out + ".central.json",
-        (json.dumps(central_doc, indent=2, sort_keys=True) + "\n").encode("utf-8"),
-    )
+    files[out + ".central.json"] = (
+        json.dumps(central_doc, indent=2, sort_keys=True) + "\n"
+    ).encode("utf-8")
+    write_files(files)  # the three files replace their predecessors together
     print(f"wrote {out}.json, {out}.f64le and {out}.central.json")
     return 0
 

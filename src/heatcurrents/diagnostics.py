@@ -12,7 +12,7 @@ noise mostly cancelled.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -21,7 +21,8 @@ from .extension import EXTENSION_CENTRAL_STREAM
 from .lie import LieBasis, build_basis, log_batch
 from .lie import exp_batch  # noqa: F401  unused here; bench/spans.py traces this name
 from .rng import DIAGNOSTIC_STREAM_BASE, RngStream, diagnostic_stream
-from .sde import CHUNK, FieldState, SdeConfig, flow, identity, sample_ensemble, sample_marginal
+from .sde import CHUNK, FieldState, SdeConfig, flow, identity
+from .sde import sample_ensemble, sample_field, sample_marginal
 from .torus import build_spectrum
 
 __all__ = [
@@ -57,15 +58,9 @@ class StatReport:
     tolerance_rule: str
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "estimate": self.estimate,
-            "target": self.target,
-            "stderr": self.stderr,
-            "n_samples": self.n_samples,
-            "pass": self.passed,
-            "tolerance_rule": self.tolerance_rule,
-        }
+        doc = asdict(self)
+        doc["pass"] = doc.pop("passed")
+        return doc
 
 
 def make_report(
@@ -125,19 +120,18 @@ def reports_to_json(reports: list) -> bytes:
 
 
 def default_config(
-    k: int = 2,
     m_max: int = 16,
     p: int = 64,
     n: int = 2,
-    d: int = 1,
     n_steps: int = 256,
     t_end: float = 1.0,
     seed: int = 0,
 ) -> SdeConfig:
-    """The package-wide reference configuration."""
-    basis = build_spectrum(d, p, m_max)
+    """The package-wide reference configuration, on the circle (d = 1)
+    with Sobolev order k = 2."""
+    basis = build_spectrum(1, p, m_max)
     lie = build_basis(n)
-    spec = CovarianceSpec(k=k, basis=basis, lie=lie)
+    spec = CovarianceSpec(k=2, basis=basis, lie=lie)
     return SdeConfig(spec=spec, n_steps=n_steps, t_end=t_end, seed=seed)
 
 
@@ -157,7 +151,7 @@ def character_target(c: float, t: float) -> float:
 
 def character_test(
     cfg: SdeConfig,
-    n_samples: int = 200_000,
+    n_samples: int,
     stream: RngStream | None = None,
 ) -> StatReport:
     """Empirical E[Re tr g_1(S)] against the closed-form heat-kernel value.
@@ -189,7 +183,7 @@ _LOG_BRANCH_LIMIT = 1.0  # exclude ||g - I||_F >= 1 from log statistics
 def covariance_test(
     cfg: SdeConfig,
     pairs: list,
-    n_samples: int = 100_000,
+    n_samples: int,
     stream: RngStream | None = None,
 ) -> list:
     """Log-field covariance vs t_end * C_k(S, S') * delta_ab at given pairs.
@@ -312,7 +306,8 @@ def _coarse_terminal(lie: LieBasis, incr: np.ndarray, n_steps: int) -> np.ndarra
 def weak_order_test(
     cfg: SdeConfig,
     step_ladder: tuple = (8, 16, 32, 64),
-    n_samples: int = 1_000_000,
+    *,
+    n_samples: int,
     stream: RngStream | None = None,
 ) -> StatReport:
     """Log-log slope of the character bias vs step size, via level differences.
@@ -369,7 +364,8 @@ def weak_order_test(
 def strong_convergence_test(
     cfg: SdeConfig,
     step_ladder: tuple = (64, 128, 256, 512, 1024),
-    n_samples: int = 4096,
+    *,
+    n_samples: int,
     stream: RngStream | None = None,
 ) -> StatReport:
     """Rate exponent of coupled coarse/fine pathwise differences.
@@ -454,7 +450,8 @@ def regularity_stream_ids(level: int, n_samples: int) -> range:
 def regularity_probe(
     k_values: tuple = (2, 0),
     grid_ladder: tuple = (16, 32, 64, 128),
-    n_samples: int = 4096,
+    *,
+    n_samples: int,
     seed: int = 0,
 ) -> list:
     """Variance of the first difference of the log-field across refinement.
@@ -536,8 +533,6 @@ def drift_report(state: FieldState) -> StatReport:
 
 def _check_drift(seed: int, n_samples: int | None) -> list:
     # A fixed-size check: one field of 1000 steps, whatever n_samples says.
-    from .sde import sample_field
-
     cfg = default_config(n_steps=1000, seed=seed)
     state = sample_field(cfg)
     return [drift_report(state)]

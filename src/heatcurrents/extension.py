@@ -144,9 +144,7 @@ def reduce_mod_lattice(v: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
 
 def haar_sample(lattice: LatticeSpec, stream: RngStream) -> np.ndarray:
     """Uniform draw on the fundamental domain (Haar measure on Z), shape (N,)."""
-    u = stream.uniform(size=lattice.rank)
-    u[u >= 1.0] = 0.0
-    return u
+    return stream.uniform(size=lattice.rank)
 
 
 def sample_extension(

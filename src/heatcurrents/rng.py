@@ -31,7 +31,7 @@ class RngStream:
     """
 
     root_seed: int
-    stream_id: int = 0
+    stream_id: int
     _gen: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self):

@@ -85,14 +85,10 @@ def flow(lie: LieBasis, g0: np.ndarray, n_steps: int, draw) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FieldState:
-    """Group-valued grid function at a fixed time.
-
-    mats has shape (*grid.shape, n, n); t lies in [0, 1].
-    """
+    """Group-valued grid function: mats has shape (*grid.shape, n, n)."""
 
     grid: TorusGrid
     mats: np.ndarray
-    t: float
 
     def __post_init__(self):
         m = np.asarray(self.mats, dtype=complex)
@@ -100,14 +96,6 @@ class FieldState:
             raise ValueError(
                 f"field shape {m.shape} incompatible with grid {self.grid.shape}"
             )
-        t = float(self.t)
-        if not (0.0 <= t <= 1.0):
-            # accumulated dt can overshoot 1 by round-off; anything else is a bug
-            if 1.0 < t < 1.0 + 1e-9:
-                t = 1.0
-            else:
-                raise ValueError(f"time must lie in [0, 1], got {t}")
-        object.__setattr__(self, "t", t)
         object.__setattr__(self, "mats", m)
 
     @property
@@ -150,11 +138,10 @@ def identity(shape: tuple, n: int) -> np.ndarray:
     return np.broadcast_to(np.eye(n, dtype=complex), tuple(shape) + (n, n))
 
 
-def step(lie: LieBasis, state: FieldState, incr: np.ndarray, dt: float) -> FieldState:
-    """One geodesic step g <- g . exp(incr) pointwise, t <- t + dt; incr
-    holds the (*grid.shape, dim_g) algebra coefficients of dB."""
-    mats = flow(lie, state.mats, 1, lambda _: incr)
-    return FieldState(grid=state.grid, mats=mats, t=state.t + dt)
+def step(lie: LieBasis, state: FieldState, incr: np.ndarray) -> FieldState:
+    """One geodesic step g <- g . exp(incr) pointwise; incr holds the
+    (*grid.shape, dim_g) algebra coefficients of dB."""
+    return FieldState(grid=state.grid, mats=flow(lie, state.mats, 1, lambda _: incr))
 
 
 def _flow_field(cfg: SdeConfig, streams, g0: np.ndarray) -> np.ndarray:
@@ -181,7 +168,7 @@ def sample_field(cfg: SdeConfig, stream: RngStream | None = None) -> FieldState:
     grid = cfg.spec.basis.grid
     g0 = identity(grid.shape + (1,), cfg.spec.lie.n)
     mats = _flow_field(cfg, [stream], g0)[..., 0, :, :]
-    return FieldState(grid=grid, mats=mats, t=cfg.t_end)
+    return FieldState(grid=grid, mats=mats)
 
 
 def sample_ensemble(
@@ -225,7 +212,7 @@ def sample_marginal(
     cfg: SdeConfig,
     points: np.ndarray,
     n_samples: int,
-    stream: RngStream | None = None,
+    stream: RngStream,
 ) -> np.ndarray:
     """Terminal fields at a subset of points only; exact restricted law.
 
@@ -239,8 +226,6 @@ def sample_marginal(
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    if stream is None:
-        stream = substream(cfg.seed, 0)
     n_pts = points.shape[0]
     n = cfg.spec.lie.n
     dim_g = cfg.spec.dim_g

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import secrets
 from dataclasses import asdict, dataclass, replace
@@ -29,10 +30,11 @@ __all__ = [
     "ChecksumMismatchError",
     "TruncatedPayloadError",
     "FormatVersionError",
+    "ensemble_files",
     "write_ensemble",
     "read_ensemble",
     "payload_checksum",
-    "write_atomic",
+    "write_files",
 ]
 
 FORMAT_VERSION = 1
@@ -74,8 +76,13 @@ class EnsembleManifest:
     lattice: list | None = None
     checksum: str | None = None
 
+    @property
+    def shape(self) -> tuple:
+        """Shape of the stored fields: (n_samples, *(p,) * d, n, n)."""
+        return (self.n_samples,) + (self.p,) * self.d + (self.n, self.n)
+
     def expected_payload_bytes(self) -> int:
-        return self.n_samples * self.p**self.d * self.n**2 * 2 * 8
+        return math.prod(self.shape) * 16  # complex128 entries
 
     def to_json_bytes(self) -> bytes:
         doc = asdict(self)
@@ -100,61 +107,62 @@ def _payload_bytes(mats: np.ndarray) -> bytes:
     return np.ascontiguousarray(mats, dtype="<c16").tobytes(order="C")
 
 
-def _stage(target: Path, data: bytes) -> Path:
-    """Write data to a fresh temp file beside target; returns its path.
+def write_files(files: dict) -> None:
+    """Replace each file path -> bytes of `files`, all or none of them.
 
-    The file is created exclusively, with the same permissions a plain
-    write would give it; a failed write removes it before the error
-    propagates.
+    Missing parent directories are created.  Every file is first staged in
+    full to a fresh temp file beside its target, created exclusively with
+    the permissions a plain write would give it; only then are the temp
+    files renamed over their targets.  A failed stage removes every temp
+    file before the error propagates, so readers keep seeing the previous
+    files.
     """
-    tmp = target.with_name(f"{target.name}.{secrets.token_hex(8)}.tmp")
-    tmp.touch(exist_ok=False)
+    staged = []
     try:
-        tmp.write_bytes(data)
+        for target, data in files.items():
+            target = Path(target)
+            target.parent.mkdir(parents=True, exist_ok=True)
+            tmp = target.with_name(f"{target.name}.{secrets.token_hex(8)}.tmp")
+            tmp.touch(exist_ok=False)
+            staged.append((tmp, target))
+            tmp.write_bytes(data)
+        for tmp, target in staged:
+            os.replace(tmp, target)
     except BaseException:
-        tmp.unlink()
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
         raise
-    return tmp
 
 
-def write_atomic(path, data: bytes) -> None:
-    """Replace the file at path by data: readers see the old or the new bytes."""
-    path = Path(path)
-    os.replace(_stage(path, data), path)
+def ensemble_files(path, manifest: EnsembleManifest, mats: np.ndarray) -> tuple:
+    """(manifest with checksum filled, {file path: bytes}) of the ensemble
+    pair at stem `path`, for `write_files`.
+
+    `mats` must have shape (n_samples, *grid, n, n) matching the manifest.
+    """
+    mats = np.asarray(mats)
+    if mats.shape != manifest.shape:
+        raise StorageError(
+            f"field array shape {mats.shape} does not match manifest "
+            f"(expected {manifest.shape})"
+        )
+    payload = _payload_bytes(mats)
+    final = replace(manifest, checksum=payload_checksum(payload))
+    stem = str(path)
+    return final, {stem + ".f64le": payload, stem + ".json": final.to_json_bytes()}
 
 
 def write_ensemble(path, manifest: EnsembleManifest, mats: np.ndarray) -> EnsembleManifest:
     """Persist (manifest, fields); returns the manifest with checksum filled.
 
-    `mats` must have shape (n_samples, *grid, n, n) matching the manifest.
-    Both files are staged in full before either replaces its predecessor,
-    so a failed write leaves the previous pair in place.
+    Both files go through one `write_files`, so a failed write leaves the
+    previous pair in place.
     """
-    mats = np.asarray(mats)
-    expected_shape = (manifest.n_samples,) + (manifest.p,) * manifest.d + (
-        manifest.n,
-        manifest.n,
-    )
-    if mats.shape != expected_shape:
-        raise StorageError(
-            f"field array shape {mats.shape} does not match manifest "
-            f"(expected {expected_shape})"
-        )
-    payload = _payload_bytes(mats)
-    final = replace(manifest, checksum=payload_checksum(payload))
-    stem = Path(path)
-    stem.parent.mkdir(parents=True, exist_ok=True)
-    staged = []
+    final, files = ensemble_files(path, manifest, mats)
     try:
-        for suffix, data in ((".f64le", payload), (".json", final.to_json_bytes())):
-            target = Path(str(stem) + suffix)
-            staged.append((_stage(target, data), target))
-        for tmp, target in staged:
-            os.replace(tmp, target)
+        write_files(files)
     except OSError as exc:
-        for tmp, _ in staged:
-            tmp.unlink(missing_ok=True)
-        raise StorageError(f"failed writing ensemble at {stem}: {exc}") from exc
+        raise StorageError(f"failed writing ensemble at {Path(path)}: {exc}") from exc
     return final
 
 
@@ -188,9 +196,5 @@ def read_ensemble(path) -> tuple:
             f"payload checksum {digest} does not match manifest "
             f"{manifest.checksum}"
         )
-    shape = (manifest.n_samples,) + (manifest.p,) * manifest.d + (
-        manifest.n,
-        manifest.n,
-    )
-    mats = np.frombuffer(payload, dtype="<c16").reshape(shape).copy()
+    mats = np.frombuffer(payload, dtype="<c16").reshape(manifest.shape).copy()
     return manifest, mats

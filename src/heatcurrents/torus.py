@@ -179,10 +179,7 @@ def build_spectrum(dim: int, points_per_axis: int, max_mode: int) -> SpectralBas
             f"aliasing: points_per_axis={grid.points_per_axis} must exceed "
             f"2*max_mode={2 * max_mode}"
         )
-    if max_mode == 0:
-        reps = np.zeros((0, grid.dim), dtype=int)
-    else:
-        reps = _canonical_representatives(grid.dim, max_mode)
+    reps = _canonical_representatives(grid.dim, max_mode)
     n_pairs = reps.shape[0]
     n_modes = 1 + 2 * n_pairs
 

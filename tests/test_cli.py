@@ -157,6 +157,17 @@ def test_verify_honours_config_samples(tmp_path, capsys):
     assert counts["cocycle_cyclic"] == 7
 
 
+@pytest.mark.parametrize(
+    "raw, kind", [("[]", "list"), ("42", "int"), ("null", "NoneType"), ('"grid"', "str")]
+)
+def test_config_must_hold_an_object(tmp_path, capsys, raw, kind):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(raw)
+    rc, out, err = run(["sample", "--config", str(cfg), "--out", str(tmp_path / "o")], capsys)
+    assert rc == 1 and out == ""
+    assert err == f"error: --config must hold a JSON object, got {kind}\n"
+
+
 def test_config_values_are_type_checked(tmp_path, capsys):
     cases = (
         ("sample", {"grid": "32"}, "config key 'grid' must be int, got str"),
@@ -401,9 +412,18 @@ def test_cocycle_shape_mismatch(tmp_path, capsys):
     assert "shapes differ" in err
 
 
+def _save_field(path, c):
+    """np.save an array; a dict of arrays goes into an .npz archive instead."""
+    with open(path, "wb") as f:
+        if isinstance(c, dict):
+            np.savez(f, **c)
+        else:
+            np.save(f, c)
+
+
 def _cocycle_pair(tmp_path, eta_c, eta1_c, capsys):
-    np.save(tmp_path / "eta.npy", eta_c)
-    np.save(tmp_path / "eta1.npy", eta1_c)
+    _save_field(tmp_path / "eta.npy", eta_c)
+    _save_field(tmp_path / "eta1.npy", eta1_c)
     return run(
         ["cocycle", "--eta", str(tmp_path / "eta.npy"), "--eta1", str(tmp_path / "eta1.npy")],
         capsys,
@@ -432,6 +452,7 @@ def _with_nan(c):
         pytest.param(lambda c: c[0, 0], "got shape ()", id="scalar"),
         # finite inputs whose pairing overflows: the class must not reach stdout
         pytest.param(lambda c: 1e200 * c, "must be finite", id="overflow"),
+        pytest.param(lambda c: {"eta": c}, "expected a .npy array", id="npz"),
     ],
 )
 def test_cocycle_rejects_bad_input(tmp_path, capsys, transform, message):
@@ -519,6 +540,29 @@ def test_extend_custom_lattice(tmp_path, capsys):
     assert manifest.lattice == gens
 
 
+def test_extend_failed_central_write_keeps_previous_trio(tmp_path, capsys, monkeypatch):
+    common = ["extend", "--grid", "16", "--modes", "3", "--steps", "2", "--samples", "2"]
+    common += ["--out", str(tmp_path / "e")]
+    assert run([*common, "--seed", "1"], capsys)[0] == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(before) == ["e.central.json", "e.f64le", "e.json"]
+    real_write = Path.write_bytes
+
+    def disk_full_on_central(self, data):
+        if self.name.startswith("e.central.json."):
+            raise OSError(28, "No space left on device")
+        return real_write(self, data)
+
+    monkeypatch.setattr(Path, "write_bytes", disk_full_on_central)
+    rc, out, err = run([*common, "--seed", "2"], capsys)
+    monkeypatch.undo()
+    assert rc == 1 and out == ""
+    assert err.startswith("error:") and "No space left" in err
+    # no new file replaced an old one and no temp file is left behind
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert read_ensemble(tmp_path / "e")[0].seed == 1
+
+
 def test_extend_lattice_shape_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"lattice": [[1.0, 0.0], [0.0, 1.0]]}))
@@ -569,6 +613,19 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(name)
         missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
         assert missing == [], name
+
+
+def test_import_path_loads_no_scipy():
+    # scipy.stats costs over a second and tens of MB to import; the package,
+    # its command line and the cocycle check must not pull scipy in
+    code = (
+        "import sys, heatcurrents, heatcurrents.cli\n"
+        "heatcurrents.run_check('cocycle', n_samples=2)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = launch([sys.executable, "-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().strip() == "[]"
 
 
 def test_console_script_targets_module_entry_point():

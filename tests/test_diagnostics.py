@@ -212,11 +212,11 @@ def test_regularity_stream_ids_disjoint():
 
 def test_drift_report():
     grid = build_spectrum(1, 16, 3).grid
-    state = FieldState(grid=grid, mats=identity(grid.shape, 2), t=0.0)
+    state = FieldState(grid=grid, mats=identity(grid.shape, 2))
     assert drift_report(state).passed
     bad = state.mats.copy()
     bad[0] *= 1.1  # off the unitary manifold
-    report = drift_report(FieldState(grid=state.grid, mats=bad, t=0.0))
+    report = drift_report(FieldState(grid=state.grid, mats=bad))
     assert not report.passed
     assert report.estimate > 1e-2
 

@@ -172,7 +172,7 @@ def test_exp_stays_on_group(n):
     rng = np.random.default_rng(48)
     coeffs = rng.normal(size=(32, b.dim))
     coeffs *= rng.uniform(0, 10, size=(32, 1)) / np.linalg.norm(coeffs, axis=1, keepdims=True)
-    g = FieldState(grid=build_grid(1, 32), mats=exp_batch(b, coeffs), t=0.0)
+    g = FieldState(grid=build_grid(1, 32), mats=exp_batch(b, coeffs))
     assert g.unitarity_defect() < 1e-10
     assert g.det_defect() < 1e-10
 
@@ -331,9 +331,9 @@ def test_coeff_matrix_round_trip():
 def test_field_state_defects_flag_corruption():
     grid = build_grid(1, 4)
     eye = np.broadcast_to(np.eye(2, dtype=complex), (4, 2, 2))
-    assert FieldState(grid=grid, mats=eye, t=0.0).unitarity_defect() == 0.0
+    assert FieldState(grid=grid, mats=eye).unitarity_defect() == 0.0
     mats = eye.copy()
     mats[2] *= 1.5
-    bad = FieldState(grid=grid, mats=mats, t=0.0)
+    bad = FieldState(grid=grid, mats=mats)
     assert bad.unitarity_defect() > 1.0
     assert bad.det_defect() > 1.0

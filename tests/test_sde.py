@@ -31,9 +31,8 @@ def make_cfg(k=2, p=16, m=3, d=1, n_steps=8, t_end=1.0, seed=0, n=2):
 
 
 def test_initial_state_is_identity():
-    # the identity start of every flow, as a t = 0 field state
-    state = FieldState(grid=build_grid(1, 16), mats=identity((16,), 2), t=0.0)
-    assert state.t == 0.0
+    # the identity start of every flow, as a field state
+    state = FieldState(grid=build_grid(1, 16), mats=identity((16,), 2))
     assert np.array_equal(state.mats, np.broadcast_to(np.eye(2), (16, 2, 2)))
     assert state.unitarity_defect() == 0.0
     assert state.det_defect() == 0.0
@@ -52,34 +51,26 @@ def test_config_validation():
 
 def test_step_zero_increment():
     grid = build_grid(1, 16)
-    state = FieldState(grid=grid, mats=identity(grid.shape, 2), t=0.0)
-    out = step(LIE2, state, np.zeros((16, 3)), 0.25)
+    state = FieldState(grid=grid, mats=identity(grid.shape, 2))
+    out = step(LIE2, state, np.zeros((16, 3)))
     assert np.array_equal(out.mats, state.mats)
-    assert out.t == 0.25
 
 
 def test_step_shape_mismatch():
-    state = FieldState(grid=build_grid(1, 16), mats=identity((16,), 2), t=0.0)
+    state = FieldState(grid=build_grid(1, 16), mats=identity((16,), 2))
     with pytest.raises(ValueError, match="shape"):
-        step(LIE2, state, np.zeros((8, 3)), 0.1)
+        step(LIE2, state, np.zeros((8, 3)))
 
 
 def test_field_state_validation():
     grid = build_grid(1, 16)
-    eye = np.broadcast_to(np.eye(2, dtype=complex), (16, 2, 2)).copy()
     with pytest.raises(ValueError):
-        FieldState(grid=grid, mats=np.zeros((8, 2, 2), dtype=complex), t=0.0)
-    for bad_t in (-0.5, 1.1, 2.0):
-        with pytest.raises(ValueError):
-            FieldState(grid=grid, mats=eye, t=bad_t)
-    # round-off overshoot from summed steps clamps instead of failing
-    assert FieldState(grid=grid, mats=eye, t=1.0 + 1e-12).t == 1.0
+        FieldState(grid=grid, mats=np.zeros((8, 2, 2), dtype=complex))
 
 
 def test_group_invariants_along_path():
     cfg = make_cfg(n_steps=64)
     state = sample_field(cfg)
-    assert state.t == 1.0
     assert state.unitarity_defect() < 1e-12
     assert state.det_defect() < 1e-12
 
@@ -204,7 +195,7 @@ def test_su3_marginal_matches_exact_finite_step_law(n, seed):
     # errors away.  n = 3 runs the closed-form exponential, n = 4 the eigh one
     cfg = default_config(n=n, n_steps=2, seed=seed)
     origin = np.zeros((1, 1))
-    mats = sample_marginal(cfg, origin, 200_000)
+    mats = sample_marginal(cfg, origin, 200_000, stream=substream(seed, 0))
     vals = np.real(np.trace(mats[:, 0], axis1=-2, axis2=-1)) / n
     c = covariance_kernel(cfg.spec, origin[0], origin[0])
     se = vals.std(ddof=1) / np.sqrt(len(vals))
@@ -249,9 +240,9 @@ def test_marginal_variance_short_time():
 def test_marginal_rejects_bad_points():
     cfg = make_cfg()
     with pytest.raises(ValueError):
-        sample_marginal(cfg, np.zeros((1, 2)), 10)
+        sample_marginal(cfg, np.zeros((1, 2)), 10, stream=substream(0, 0))
     with pytest.raises(ValueError):
-        sample_marginal(cfg, np.zeros((1, 1)), 0)
+        sample_marginal(cfg, np.zeros((1, 1)), 0, stream=substream(0, 0))
 
 
 class PoisonedStream:
