@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .brownian import synthesize
-from .diagnostics import StatReport, default_config, make_report, one_sided_report
+from .diagnostics import default_config, make_report, one_sided_report
 from .extension import (
     EXTENSION_CENTRAL_STREAM,
     cocycle,

@@ -149,11 +149,7 @@ def character_target(c: float, t: float) -> float:
     return 2.0 * np.exp(-0.375 * c * t)
 
 
-def character_test(
-    cfg: SdeConfig,
-    n_samples: int,
-    stream: RngStream | None = None,
-) -> StatReport:
+def character_test(cfg: SdeConfig, n_samples: int) -> StatReport:
     """Empirical E[Re tr g_1(S)] against the closed-form heat-kernel value.
 
     Uses the restricted-marginal sampler at the origin, whose law matches
@@ -161,9 +157,8 @@ def character_test(
     """
     if cfg.spec.lie.n != 2:
         raise ValueError("analytic character target implemented for SU(2) only")
-    if stream is None:
-        stream = diagnostic_stream(cfg.seed, 0)
     origin = np.zeros(cfg.spec.basis.grid.dim)
+    stream = diagnostic_stream(cfg.seed, 0)
     mats = sample_marginal(cfg, origin[np.newaxis, :], n_samples, stream=stream)
     vals = np.real(np.trace(mats[:, 0], axis1=-2, axis2=-1))
     c = covariance_kernel(cfg.spec, origin, origin)
@@ -180,20 +175,13 @@ def character_test(
 _LOG_BRANCH_LIMIT = 1.0  # exclude ||g - I||_F >= 1 from log statistics
 
 
-def covariance_test(
-    cfg: SdeConfig,
-    pairs: list,
-    n_samples: int,
-    stream: RngStream | None = None,
-) -> list:
+def covariance_test(cfg: SdeConfig, pairs: list, n_samples: int) -> list:
     """Log-field covariance vs t_end * C_k(S, S') * delta_ab at given pairs.
 
     `pairs` is a list of (S, S') coordinate pairs.  Emits one diagonal
     (a = b, pooled over directions) and one cross (a != b) report per pair,
     plus a log-branch failure-rate report; failures above 1% fail.
     """
-    if stream is None:
-        stream = diagnostic_stream(cfg.seed, 1)
     pts = []
     index = {}
     for s, sp in pairs:
@@ -202,7 +190,7 @@ def covariance_test(
                 index[q] = len(pts)
                 pts.append(q)
     points = np.asarray(pts, dtype=float)
-    mats = sample_marginal(cfg, points, n_samples, stream=stream)
+    mats = sample_marginal(cfg, points, n_samples, stream=diagnostic_stream(cfg.seed, 1))
 
     eye = np.eye(cfg.spec.lie.n)
     dist = np.sqrt(np.sum(np.abs(mats - eye) ** 2, axis=(-2, -1)))
@@ -264,35 +252,15 @@ def covariance_test(
 # convergence orders under common random numbers
 
 
-def _slope_fit(x: np.ndarray, y: np.ndarray, yvar: np.ndarray) -> tuple:
-    """OLS slope of y on x with delta-method variance from var(y)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+def _slope_fit(cfg: SdeConfig, y: np.ndarray, yvar: np.ndarray) -> tuple:
+    """OLS slope of y on log h over every ladder level but the finest, with
+    delta-method variance from var(y)."""
+    x = np.log(cfg.t_end / cfg.n_steps * 2.0 ** np.arange(len(y), 0, -1))
     dx = x - x.mean()
     denom = np.sum(dx * dx)
     slope = float(np.sum(dx * y) / denom)
     var = float(np.sum((dx / denom) ** 2 * yvar))
     return slope, np.sqrt(var)
-
-
-def _check_ladder(step_ladder: tuple) -> list:
-    """Sorted step counts; at least three levels, each dividing the next."""
-    ladder = sorted(int(v) for v in step_ladder)
-    if len(ladder) < 3:
-        raise ValueError(f"need at least 3 ladder levels, got {len(ladder)}")
-    for a, b in zip(ladder, ladder[1:]):
-        if b % a != 0:
-            raise ValueError(f"ladder levels must nest by integer factors, got {ladder}")
-    return ladder
-
-
-def _fine_increments(cfg: SdeConfig, n_fine: int, m: int, stream: RngStream) -> np.ndarray:
-    """m paths of n_fine increments at the origin, (m, n_fine, dim_g): the
-    finest ladder level.  C_k(S, S) is the same at every S."""
-    origin = np.zeros(cfg.spec.basis.grid.dim)
-    c = covariance_kernel(cfg.spec, origin, origin)
-    size = (m, n_fine, cfg.spec.dim_g)
-    return np.sqrt(cfg.t_end / n_fine * c) * stream.normal(size=size)
 
 
 def _coarse_terminal(lie: LieBasis, incr: np.ndarray, n_steps: int) -> np.ndarray:
@@ -303,94 +271,104 @@ def _coarse_terminal(lie: LieBasis, incr: np.ndarray, n_steps: int) -> np.ndarra
     return flow(lie, identity((m,), lie.n), n_steps, lambda s: coarse[:, s, :])
 
 
+# Fine increments per ladder chunk.  Chunks bound memory only; 2^22 keeps
+# the strong_order acceptance run (4096 samples of 1024 steps) in one chunk,
+# since every further chunk repeats the per-step overhead.
+_LADDER_BUDGET = 1 << 22
+
+
+def _ladder(
+    cfg: SdeConfig, n_levels: int, n_samples: int, stream: RngStream, observe
+) -> np.ndarray:
+    """observe(g_coarse, g_fine) per sample between consecutive levels,
+    (n_levels - 1, n_samples): the finest level steps cfg.n_steps times and
+    each coarser one halves it.  Sample paths are drawn at the origin from
+    `stream` in sample order; C_k(S, S) is the same at every S."""
+    if n_levels < 3:
+        raise ValueError(f"need at least 3 ladder levels, got {n_levels}")
+    if cfg.n_steps % 2 ** (n_levels - 1):
+        raise ValueError(f"n_steps {cfg.n_steps} is not divisible by 2^{n_levels - 1}")
+    origin = np.zeros(cfg.spec.basis.grid.dim)
+    scale = np.sqrt(cfg.t_end / cfg.n_steps * covariance_kernel(cfg.spec, origin, origin))
+    chunk = max(1, min(CHUNK, _LADDER_BUDGET // cfg.n_steps))
+    out = np.empty((n_levels - 1, n_samples))
+    for lo in range(0, n_samples, chunk):
+        hi = min(lo + chunk, n_samples)
+        incr = stream.normal(size=(hi - lo, cfg.n_steps, cfg.spec.dim_g))
+        incr *= scale
+        g = [_coarse_terminal(cfg.spec.lie, incr, cfg.n_steps >> j)
+             for j in range(n_levels - 1, -1, -1)]
+        for li in range(n_levels - 1):
+            out[li, lo:hi] = observe(g[li], g[li + 1])
+    return out
+
+
 def weak_order_test(
     cfg: SdeConfig,
-    step_ladder: tuple = (8, 16, 32, 64),
+    n_levels: int = 4,
     *,
     n_samples: int,
     stream: RngStream | None = None,
 ) -> StatReport:
     """Log-log slope of the character bias vs step size, via level differences.
 
-    Coarse increments are block sums of the finest level's (one Brownian
-    path per sample), so the Richardson differences f_l - f_{l+1} have the
-    Monte Carlo noise nearly cancelled and estimate bias(h_l) - bias(h_{l+1});
-    for a weak order-p scheme they scale like h_l^p.  If any difference is
-    within 2 standard errors of zero the result is inconclusive and fails.
+    The finest of n_levels levels takes cfg.n_steps steps and each coarser
+    one sums its finer neighbour's increments in pairs, so the differences
+    f_l - f_{l+1} cancel most Monte Carlo noise and estimate bias(h_l) -
+    bias(h_{l+1}), which scales like h_l^p for a weak order-p scheme.  A
+    difference within 2 standard errors of zero fails as inconclusive.
     """
-    ladder = _check_ladder(step_ladder)
     if cfg.spec.lie.n != 2:
         raise ValueError("character observable requires SU(2)")
     if stream is None:
         stream = diagnostic_stream(cfg.seed, 2)
 
-    n_levels = len(ladder)
-    sums = np.zeros(n_levels - 1)
-    sqsums = np.zeros(n_levels - 1)
-    total = 0
-    for lo in range(0, n_samples, CHUNK):
-        m = min(CHUNK, n_samples - lo)
-        incr = _fine_increments(cfg, ladder[-1], m, stream)
-        traces = np.empty((n_levels, m))
-        for li, n_steps in enumerate(ladder):
-            g = _coarse_terminal(cfg.spec.lie, incr, n_steps)
-            traces[li] = np.real(g[:, 0, 0] + g[:, 1, 1])
-        diffs = traces[:-1] - traces[1:]  # (n_levels-1, m)
-        sums += diffs.sum(axis=1)
-        sqsums += (diffs**2).sum(axis=1)
-        total += m
-
-    mean_d = sums / total
-    var_d = (sqsums / total - mean_d**2) / total
-    se_d = np.sqrt(var_d)
+    diffs = _ladder(
+        cfg, n_levels, n_samples, stream,
+        lambda c, f: np.real(c[:, 0, 0] + c[:, 1, 1]) - np.real(f[:, 0, 0] + f[:, 1, 1]),
+    )
+    mean_d = diffs.mean(axis=1)
+    se_d = np.sqrt(diffs.var(axis=1) / n_samples)
     if np.any(np.abs(mean_d) < 2.0 * se_d):
         return StatReport(
             name="weak_order",
             estimate=float("nan"),
             target=1.0,
             stderr=float("nan"),
-            n_samples=total,
+            n_samples=n_samples,
             passed=False,
             tolerance_rule="inconclusive: level bias below 2 standard errors",
         )
 
-    h = cfg.t_end / np.asarray(ladder[:-1], dtype=float)
     logd = np.log(np.abs(mean_d))
     logd_var = (se_d / mean_d) ** 2
-    slope, slope_se = _slope_fit(np.log(h), logd, logd_var)
-    return make_report("weak_order", slope, 1.0, slope_se, total, atol=0.3)
+    slope, slope_se = _slope_fit(cfg, logd, logd_var)
+    return make_report("weak_order", slope, 1.0, slope_se, n_samples, atol=0.3)
 
 
 def strong_convergence_test(
     cfg: SdeConfig,
-    step_ladder: tuple = (64, 128, 256, 512, 1024),
+    n_levels: int = 5,
     *,
     n_samples: int,
     stream: RngStream | None = None,
 ) -> StatReport:
-    """Rate exponent of coupled coarse/fine pathwise differences.
+    """Rate exponent of pathwise differences on weak_order_test's ladder.
 
     RMS ||g^(l) - g^(l+1)||_F over samples scales like h_l^rho with rho =
     1/2 for this scheme; reports the fitted rho with band [0.4, 0.6].
     """
-    ladder = _check_ladder(step_ladder)
     if stream is None:
         stream = diagnostic_stream(cfg.seed, 3)
 
-    incr = _fine_increments(cfg, ladder[-1], n_samples, stream)
-    terminal = [_coarse_terminal(cfg.spec.lie, incr, n_steps) for n_steps in ladder]
-
-    rms = np.empty(len(ladder) - 1)
-    log_rms_var = np.empty(len(ladder) - 1)
-    for li in range(len(ladder) - 1):
-        sq = np.sum(np.abs(terminal[li] - terminal[li + 1]) ** 2, axis=(-2, -1))
-        mean_sq = sq.mean()
-        rms[li] = np.sqrt(mean_sq)
-        # log rms = log(mean_sq)/2, so var = var(mean_sq) / (2 mean_sq)^2
-        log_rms_var[li] = sq.var(ddof=1) / n_samples / (2.0 * mean_sq) ** 2
-
-    h = cfg.t_end / np.asarray(ladder[:-1], dtype=float)
-    slope, slope_se = _slope_fit(np.log(h), np.log(rms), log_rms_var)
+    sq = _ladder(
+        cfg, n_levels, n_samples, stream,
+        lambda c, f: np.sum(np.abs(c - f) ** 2, axis=(-2, -1)),
+    )
+    mean_sq = sq.mean(axis=1)
+    # log rms = log(mean_sq)/2, so var = var(mean_sq) / (2 mean_sq)^2
+    log_rms_var = sq.var(axis=1, ddof=1) / n_samples / (2.0 * mean_sq) ** 2
+    slope, slope_se = _slope_fit(cfg, np.log(np.sqrt(mean_sq)), log_rms_var)
     return make_report("strong_order", slope, 0.5, slope_se, n_samples, atol=0.1)
 
 

@@ -42,12 +42,6 @@ class RngStream:
         key = np.array([self.root_seed, self.stream_id], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
-    @property
-    def counter(self) -> int:
-        """Current 256-bit Philox counter as a single integer."""
-        words = self._gen.bit_generator.state["state"]["counter"]
-        return sum(int(w) << (64 * i) for i, w in enumerate(words))
-
     def normal(self, size) -> np.ndarray:
         return self._gen.standard_normal(size)
 

@@ -90,12 +90,27 @@ class EnsembleManifest:
 
     @classmethod
     def from_json_bytes(cls, raw: bytes) -> "EnsembleManifest":
-        doc = json.loads(raw.decode("utf-8"))
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(doc) - known
+        """Parse a manifest; StorageError for anything that is not one."""
+        try:
+            doc = json.loads(raw.decode("utf-8"))
+        except ValueError as exc:  # bad UTF-8 or bad JSON
+            raise StorageError(f"manifest is not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise StorageError(f"manifest must be a JSON object, got {type(doc).__name__}")
+        extra = set(doc) - set(cls.__dataclass_fields__)
         if extra:
             raise StorageError(f"unknown manifest fields: {sorted(extra)}")
-        return cls(**doc)
+        try:
+            manifest = cls(**doc)
+        except TypeError as exc:  # a required field is missing
+            raise StorageError(f"incomplete manifest: {exc}") from exc
+        for name in ("d", "n", "p", "n_samples"):
+            value = getattr(manifest, name)
+            if type(value) is not int or value < 0:
+                raise StorageError(
+                    f"manifest field {name!r} must be a non-negative integer, got {value!r}"
+                )
+        return manifest
 
 
 def payload_checksum(payload: bytes) -> str:

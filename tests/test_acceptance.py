@@ -85,7 +85,7 @@ def test_covariance_match():
 
 def test_weak_order():
     cfg = default_config(n_steps=64)
-    report = weak_order_test(cfg, step_ladder=(8, 16, 32, 64), n_samples=1_000_000)
+    report = weak_order_test(cfg, n_levels=4, n_samples=1_000_000)
     assert announce("weak order slope", report)
     assert 0.7 <= report.estimate <= 1.3
 

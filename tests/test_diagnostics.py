@@ -1,10 +1,12 @@
 """Report plumbing plus reduced-size runs of each statistical check."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from heatcurrents import diagnostics
 from heatcurrents.brownian import CovarianceSpec, covariance_kernel, pointwise_variance
 from heatcurrents.diagnostics import (
     REGULARITY_STRIDE,
@@ -25,7 +27,7 @@ from heatcurrents.diagnostics import (
 )
 from heatcurrents.extension import EXTENSION_CENTRAL_STREAM
 from heatcurrents.lie import build_basis
-from heatcurrents.rng import DIAGNOSTIC_STREAM_BASE
+from heatcurrents.rng import DIAGNOSTIC_STREAM_BASE, diagnostic_stream
 from heatcurrents.sde import FieldState, identity, sample_field
 from heatcurrents.torus import build_spectrum
 
@@ -110,9 +112,9 @@ def test_covariance_test_small_run():
 def test_weak_order_validation():
     cfg = default_config(n_steps=64)
     with pytest.raises(ValueError, match="3 ladder levels"):
-        weak_order_test(cfg, step_ladder=(8, 16), n_samples=10)
-    with pytest.raises(ValueError, match="nest"):
-        weak_order_test(cfg, step_ladder=(8, 12, 24), n_samples=10)
+        weak_order_test(cfg, n_levels=2, n_samples=10)
+    with pytest.raises(ValueError, match="divisible by 2\\^3"):
+        weak_order_test(default_config(n_steps=12), n_levels=4, n_samples=10)
     with pytest.raises(ValueError, match="SU\\(2\\)"):
         weak_order_test(default_config(n=3, n_steps=64), n_samples=10)
 
@@ -138,11 +140,44 @@ def test_weak_order_inconclusive_at_tiny_n():
 
 def test_strong_order_small_run():
     cfg = default_config(n_steps=512, seed=6)
-    report = strong_convergence_test(
-        cfg, step_ladder=(64, 128, 256, 512), n_samples=1024
-    )
+    report = strong_convergence_test(cfg, n_levels=4, n_samples=1024)
     assert report.passed, f"exponent {report.estimate} +- {report.stderr}"
     assert 0.4 <= report.estimate <= 0.6
+
+
+def test_ladder_independent_of_chunking(monkeypatch):
+    # 37 samples in one chunk, then in chunks of 5 with a short last one
+    cfg = default_config(n_steps=16, seed=8)
+
+    def run():
+        return diagnostics._ladder(
+            cfg, 3, 37, diagnostic_stream(8, 3), lambda c, f: np.abs(c - f).sum(axis=(-2, -1))
+        )
+
+    whole = run()
+    monkeypatch.setattr(diagnostics, "_LADDER_BUDGET", 5 * cfg.n_steps)
+    chunked = run()
+    assert whole.shape == (2, 37)
+    assert np.array_equal(whole, chunked)
+
+
+def test_strong_order_memory_bounded_in_samples(monkeypatch):
+    # chunks of 1024 samples: the traced peak follows the chunk, not
+    # n_samples (all samples in one draw peaked 6.8x higher at 8192)
+    monkeypatch.setattr(diagnostics, "_LADDER_BUDGET", 1024 * 64)
+    cfg = default_config(n_steps=64, seed=9)
+
+    def peak(n_samples):
+        tracemalloc.start()
+        try:
+            strong_convergence_test(cfg, n_levels=3, n_samples=n_samples)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(16)  # first-call allocations out of the way
+    small, large = peak(1024), peak(8192)
+    assert large <= 1.5 * small, (small, large)
 
 
 def test_fd_variance_target_oracle():

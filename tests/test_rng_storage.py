@@ -1,5 +1,6 @@
 """Stream addressing and the manifest/payload persistence format."""
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -91,13 +92,6 @@ def test_streams_uncorrelated():
     x = substream(5, 0).normal(n)
     y = substream(5, 1).normal(n)
     assert abs(np.corrcoef(x, y)[0, 1]) <= 4.0 / np.sqrt(n)
-
-
-def test_counter_advances():
-    s = substream(3, 3)
-    c0 = s.counter
-    s.normal(100)
-    assert s.counter > c0
 
 
 def make_manifest(**kw):
@@ -208,6 +202,28 @@ def test_unknown_manifest_fields_rejected():
     blob = blob.replace('"d": 1', '"d": 1,\n  "zz_extra": true')
     with pytest.raises(StorageError, match="unknown manifest fields"):
         EnsembleManifest.from_json_bytes(blob.encode())
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda doc: "{not json", "not valid JSON"),
+        (lambda doc: [], "JSON object"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "d"}, "incomplete"),
+        (lambda doc: {**doc, "d": None}, "'d'"),
+        (lambda doc: {**doc, "p": "8"}, "'p'"),
+        (lambda doc: {**doc, "n_samples": 1.5}, "'n_samples'"),
+    ],
+    ids=["invalid-json", "array", "missing-field", "null-d", "string-p", "float-n_samples"],
+)
+def test_unparsable_manifest_is_storage_error(tmp_path, edit, match):
+    write_ensemble(tmp_path / "run", make_manifest(), random_fields())
+    path = tmp_path / "run.json"
+    doc = edit(json.loads(path.read_text()))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    with pytest.raises(StorageError, match=match) as info:
+        read_ensemble(tmp_path / "run")
+    assert type(info.value) is StorageError
 
 
 def test_shape_mismatch_rejected(tmp_path):

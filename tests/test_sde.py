@@ -301,4 +301,4 @@ def test_nan_increment_aborts_ladder(test):
     cfg = make_cfg()
     stream = PoisonedStream(1, index=5 * 3)
     with pytest.raises(FloatingPointError, match="step 2/2"):
-        test(cfg, step_ladder=(2, 4, 8), n_samples=10, stream=stream)
+        test(cfg, n_levels=3, n_samples=10, stream=stream)
