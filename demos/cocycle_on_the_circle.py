@@ -9,7 +9,7 @@ cocycle identity on brackets.
 import numpy as np
 
 from heatcurrents import build_basis, build_grid, cocycle
-from heatcurrents.cocycle_checks import random_band_limited
+from heatcurrents.diagnostics import random_band_limited
 from heatcurrents.extension import cocycle_scalars
 from heatcurrents.lie import bracket_coeffs
 from heatcurrents.rng import substream

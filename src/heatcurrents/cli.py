@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -121,11 +122,26 @@ def _resolve(args: argparse.Namespace) -> dict:
     return cfg
 
 
+def _is_number(val) -> bool:
+    """A JSON number that converts to a finite float; bools are not numbers."""
+    if isinstance(val, float):
+        return math.isfinite(val)
+    return isinstance(val, int) and not isinstance(val, bool) and abs(val) <= sys.float_info.max
+
+
 def _check_config_type(key: str, val) -> None:
     """Reject a config value the flag's type would not produce."""
-    kind = _OPTIONS[key][1]
-    if kind is None:  # `lattice` is validated where it is read
+    if key == "lattice":  # no flag; its rank is checked where it is read
+        if not (
+            isinstance(val, list)
+            and all(isinstance(row, list) and len(row) == len(val) for row in val)
+            and all(_is_number(x) for row in val for x in row)
+        ):
+            raise ValueError(
+                "config key 'lattice' must be an N x N nested list of finite numbers"
+            )
         return
+    kind = _OPTIONS[key][1]
     accepted = (int, float) if kind is float else kind
     if isinstance(val, bool) or not isinstance(val, accepted):
         raise ValueError(
@@ -171,8 +187,8 @@ def _lattice_from_config(cfg: dict, rank: int) -> LatticeSpec:
     gen = np.asarray(raw, dtype=float)
     if gen.shape != (rank, rank):
         raise ValueError(
-            f"lattice generators must be {rank}x{rank} for this configuration, "
-            f"got shape {gen.shape}"
+            f"config key 'lattice' must hold {rank}x{rank} lattice generators for "
+            f"this configuration, got shape {gen.shape}"
         )
     return LatticeSpec(generators=gen)
 

@@ -1,5 +1,6 @@
-"""Statistical verification: marginal law, covariance, convergence orders,
-regularity across grid refinement, and group-manifold drift.
+"""Verification: marginal law, covariance, convergence orders, regularity
+across grid refinement, group-manifold drift, the cocycle's exact
+identities, and the central torus.
 
 Every check emits StatReport records with a uniform pass rule
 |estimate - target| <= max(4 * stderr, absolute tolerance) (one-sided
@@ -7,6 +8,13 @@ variants note it in tolerance_rule).  Convergence ladders use common
 random numbers: coarse increments are block sums of fine ones, so level
 differences estimate pure discretization effects with the Monte Carlo
 noise mostly cancelled.
+
+The identity checks (`cocycle_suite`, the Jacobi part of `haar_suite`)
+must hold to round-off on band-limited fields.  Pairings of two fields
+produce modes up to 2M and their spectral derivative needs 2M < P/2;
+triple products need 3M < P for exact grid means.  The generators stay
+well inside both.  `haar_suite` also tests Haar uniformity on the central
+torus and the independence of field and fiber.
 """
 
 from __future__ import annotations
@@ -16,14 +24,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .brownian import CovarianceSpec, covariance_kernel
-from .extension import EXTENSION_CENTRAL_STREAM
-from .lie import LieBasis, build_basis, log_batch
+from .brownian import CovarianceSpec, covariance_kernel, synthesize
+from .extension import EXTENSION_CENTRAL_STREAM, cocycle, cocycle_scalars, leibniz_check
+from .lie import LieBasis, bracket_coeffs, build_basis, log_batch
 from .lie import exp_batch  # noqa: F401  unused here; bench/spans.py traces this name
-from .rng import DIAGNOSTIC_STREAM_BASE, RngStream, diagnostic_stream
+from .rng import DIAGNOSTIC_STREAM_BASE, RngStream, diagnostic_stream, substream
 from .sde import CHUNK, FieldState, SdeConfig, flow, identity
 from .sde import sample_ensemble, sample_field, sample_marginal
-from .torus import build_spectrum
+from .torus import SpectralBasis, build_spectrum
 
 __all__ = [
     "StatReport",
@@ -37,6 +45,9 @@ __all__ = [
     "regularity_probe",
     "regularity_stream_ids",
     "drift_report",
+    "random_band_limited",
+    "cocycle_suite",
+    "haar_suite",
     "fd_variance_target",
     "default_config",
     "run_check",
@@ -267,7 +278,9 @@ def _coarse_terminal(lie: LieBasis, incr: np.ndarray, n_steps: int) -> np.ndarra
     """Terminal g over n_steps steps whose increments are block sums of the
     fine increments incr (m, n_fine, dim_g): the common-random-number path."""
     m, n_fine, dim_g = incr.shape
-    coarse = incr.reshape(m, n_steps, n_fine // n_steps, dim_g).sum(axis=2)
+    coarse = incr if n_steps == n_fine else (
+        incr.reshape(m, n_steps, n_fine // n_steps, dim_g).sum(axis=2)
+    )
     return flow(lie, identity((m,), lie.n), n_steps, lambda s: coarse[:, s, :])
 
 
@@ -506,6 +519,151 @@ def drift_report(state: FieldState) -> StatReport:
 
 
 # ---------------------------------------------------------------------------
+# exact identities of the cocycle and the extended bracket
+
+
+def random_band_limited(basis: SpectralBasis, lie: LieBasis, stream) -> np.ndarray:
+    """Random (*grid.shape, dim_g) field, i.i.d. normal over the truncated basis."""
+    return synthesize(basis, stream.normal(size=(basis.n_modes, lie.dim)))
+
+
+def _jacobi_residuals(lie: LieBasis, stream: RngStream, n_triples: int) -> tuple:
+    """Max |Jacobi sum| of the extended bracket over n_triples random
+    band-limited triples, as (field, central): the field part is the
+    bracket's Jacobi identity, the central part the cocycle's cyclic
+    identity omega([e0, e1], e2) + omega([e1, e2], e0) + omega([e2, e0], e1)
+    = 0.  Triples reach 3M, so M = 10 at P = 64."""
+    basis = build_spectrum(1, 64, 10)
+    grid = basis.grid
+    field_resid = 0.0
+    central_resid = 0.0
+    for _ in range(n_triples):
+        e0, e1, e2 = (random_band_limited(basis, lie, stream) for _ in range(3))
+        b01 = bracket_coeffs(lie, e0, e1)
+        b12 = bracket_coeffs(lie, e1, e2)
+        b20 = bracket_coeffs(lie, e2, e0)
+        f_total = (
+            bracket_coeffs(lie, b01, e2)
+            + bracket_coeffs(lie, b12, e0)
+            + bracket_coeffs(lie, b20, e1)
+        )
+        c_total = (
+            cocycle(grid, lie, b01, e2)
+            + cocycle(grid, lie, b12, e0)
+            + cocycle(grid, lie, b20, e1)
+        )
+        field_resid = max(field_resid, float(np.max(np.abs(f_total))))
+        central_resid = max(central_resid, float(np.max(np.abs(c_total))))
+    return field_resid, central_resid
+
+
+def cocycle_suite(seed: int, n_triples: int) -> list:
+    """Leibniz, projected antisymmetry, cyclic identity, closed-form value."""
+    lie = build_basis(2)
+    stream = diagnostic_stream(seed, 32)
+    reports = []
+
+    # (a) Leibniz rule for the pairing: products reach 2M, so M <= 15 at P=64
+    basis_pair = build_spectrum(1, 64, 15)
+    grid = basis_pair.grid
+    resid = 0.0
+    for _ in range(20):
+        eta = random_band_limited(basis_pair, lie, stream)
+        eta1 = random_band_limited(basis_pair, lie, stream)
+        resid = max(resid, leibniz_check(grid, lie, eta, eta1))
+    reports.append(
+        make_report("cocycle_leibniz", resid, 0.0, 0.0, 20, atol=1e-10)
+    )
+
+    # (b) antisymmetry after projection: the symmetric part is an exact form
+    anti = 0.0
+    for _ in range(20):
+        eta = random_band_limited(basis_pair, lie, stream)
+        eta1 = random_band_limited(basis_pair, lie, stream)
+        v = cocycle(grid, lie, eta, eta1) + cocycle(grid, lie, eta1, eta)
+        anti = max(anti, float(np.max(np.abs(v))))
+    reports.append(
+        make_report("cocycle_antisymmetry", anti, 0.0, 0.0, 20, atol=1e-10)
+    )
+
+    # (c) cyclic 2-cocycle identity on brackets
+    _, cyc = _jacobi_residuals(lie, stream, n_triples)
+    reports.append(
+        make_report("cocycle_cyclic", cyc, 0.0, 0.0, n_triples, atol=1e-9)
+    )
+
+    # (d) closed-form value on the circle: eta = cos(x) X, eta1 = sin(x) X
+    x_coeff = stream.normal(size=lie.dim)
+    kappa_xx = float(x_coeff @ lie.killing @ x_coeff)
+    coords = grid.coordinates()[..., 0]
+    eta = np.cos(coords)[..., np.newaxis] * x_coeff
+    eta1 = np.sin(coords)[..., np.newaxis] * x_coeff
+    value = cocycle_scalars(grid, lie, eta, eta1)[0]
+    reports.append(
+        make_report(
+            "cocycle_circle_value", value, 0.5 * kappa_xx, 0.0, 1, atol=1e-8
+        )
+    )
+    return reports
+
+
+# ---------------------------------------------------------------------------
+# the central torus
+
+
+def haar_suite(seed: int, n_samples: int) -> list:
+    """Haar uniformity, field/fiber independence, extended-bracket Jacobi."""
+    from scipy.stats import kstest  # over a second to import: only this check needs it
+
+    reports = []
+
+    # per-coordinate Kolmogorov-Smirnov against uniform [0, 1): `haar_sample`
+    # on the rank-3 identity lattice is one uniform draw of 3 coordinates,
+    # so n_samples of them from one stream are one (n_samples, 3) draw
+    stream = substream(seed, EXTENSION_CENTRAL_STREAM)
+    draws = stream.uniform(size=(n_samples, 3))
+    min_p = min(float(kstest(draws[:, j], "uniform").pvalue) for j in range(3))
+    reports.append(
+        one_sided_report("haar_ks_min_pvalue", min_p, 0.01, 0.0, n_samples, "min")
+    )
+
+    # independence of the field marginal and the central coordinates;
+    # same product construction as the extension sampler (disjoint streams)
+    cfg = default_config(n_steps=16, seed=seed)
+    point = np.zeros((1, 1))
+    mats = sample_marginal(cfg, point, n_samples, stream=substream(seed, 0))
+    field_obs = np.real(np.trace(mats[:, 0], axis1=-2, axis2=-1))
+    fc = field_obs - field_obs.mean()
+    cc = draws - draws.mean(axis=0)
+    corr = fc @ cc / (
+        n_samples * field_obs.std(ddof=0) * draws.std(axis=0, ddof=0)
+    )
+    max_corr = float(np.max(np.abs(corr)))
+    reports.append(
+        one_sided_report(
+            "extension_independence",
+            max_corr,
+            4.0 / np.sqrt(n_samples),
+            1.0 / np.sqrt(n_samples),
+            n_samples,
+            "max",
+        )
+    )
+
+    # Jacobi identity for the extended bracket on random band-limited triples
+    field_resid, central_resid = _jacobi_residuals(
+        build_basis(2), diagnostic_stream(seed, 33), 100
+    )
+    reports.append(
+        make_report("extended_jacobi_field", field_resid, 0.0, 0.0, 100, atol=1e-10)
+    )
+    reports.append(
+        make_report("extended_jacobi_central", central_resid, 0.0, 0.0, 100, atol=1e-9)
+    )
+    return reports
+
+
+# ---------------------------------------------------------------------------
 # named checks for the command line
 
 
@@ -543,14 +701,10 @@ def _check_regularity(seed: int, n_samples: int | None) -> list:
 
 
 def _check_cocycle(seed: int, n_samples: int | None) -> list:
-    from .cocycle_checks import cocycle_suite
-
     return cocycle_suite(seed=seed, n_triples=100 if n_samples is None else n_samples)
 
 
 def _check_haar(seed: int, n_samples: int | None) -> list:
-    from .cocycle_checks import haar_suite
-
     return haar_suite(seed=seed, n_samples=10_000 if n_samples is None else n_samples)
 
 

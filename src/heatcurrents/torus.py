@@ -97,13 +97,12 @@ def _canonical_representatives(dim: int, max_mode: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralBasis:
-    """Real orthonormal Laplacian eigenbasis truncated at |m_i| <= max_mode.
+    """Real orthonormal Laplacian eigenbasis truncated at a per-axis cutoff
+    |m_i| <= M, which `build_spectrum` takes as max_mode: (2M+1)^d functions.
 
     Attributes
     ----------
     grid : TorusGrid
-    max_mode : int
-        Per-axis frequency cutoff M; the basis holds (2M+1)^d functions.
     frequencies : int array, shape (n_pairs, dim)
         Canonical representatives of the nonzero modes.
     eigenvalues : float array, shape (n_modes,)
@@ -128,7 +127,6 @@ class SpectralBasis:
     """
 
     grid: TorusGrid
-    max_mode: int
     frequencies: np.ndarray
     eigenvalues: np.ndarray
     values: np.ndarray
@@ -212,7 +210,6 @@ def build_spectrum(dim: int, points_per_axis: int, max_mode: int) -> SpectralBas
     )
     return SpectralBasis(
         grid=grid,
-        max_mode=max_mode,
         frequencies=reps,
         eigenvalues=eigs,
         values=values,

@@ -14,12 +14,13 @@ import pytest
 
 from heatcurrents.brownian import covariance_kernel
 from heatcurrents.cli import run_cli
-from heatcurrents.cocycle_checks import cocycle_suite, haar_suite
 from heatcurrents.diagnostics import (
     character_test,
+    cocycle_suite,
     covariance_test,
     default_config,
     drift_report,
+    haar_suite,
     regularity_probe,
     strong_convergence_test,
     weak_order_test,

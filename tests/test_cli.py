@@ -575,6 +575,32 @@ def test_extend_lattice_shape_error(tmp_path, capsys):
     assert "lattice generators" in err
 
 
+@pytest.mark.parametrize(
+    "lattice",
+    [
+        {"a": 1},
+        [[1, 0, 0], [0, "2", 0], [0, 0, 1]],
+        [[1, 0, 0], [0, True, 0], [0, 0, 1]],
+        [[1, 0, 0], [0, None, 0], [0, 0, 1]],
+        [[1, 0, 0], [0, 1], [0, 0, 1]],
+        [[1, 0, 0], [0, float("nan"), 0], [0, 0, 1]],
+        [[1, 0, 0], [0, 10**400, 0], [0, 0, 1]],
+    ],
+    ids=["object", "string", "bool", "null", "ragged", "nan", "overflow"],
+)
+def test_extend_rejects_malformed_lattice(tmp_path, capsys, lattice):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lattice": lattice}))
+    rc, out, err = run(
+        ["extend", "--config", str(cfg), "--grid", "16", "--modes", "3",
+         "--steps", "2", "--out", str(tmp_path / "x")],
+        capsys,
+    )
+    assert rc == 1 and out == ""
+    assert err.startswith("error: config key 'lattice' must be")
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 DRIFT_ARGV = ["verify", "--check", "drift"]
 
 

@@ -18,6 +18,7 @@ from heatcurrents.diagnostics import (
     fd_variance_target,
     make_report,
     one_sided_report,
+    random_band_limited,
     regularity_probe,
     regularity_stream_ids,
     reports_to_json,
@@ -25,7 +26,7 @@ from heatcurrents.diagnostics import (
     strong_convergence_test,
     weak_order_test,
 )
-from heatcurrents.extension import EXTENSION_CENTRAL_STREAM
+from heatcurrents.extension import EXTENSION_CENTRAL_STREAM, extended_bracket
 from heatcurrents.lie import build_basis
 from heatcurrents.rng import DIAGNOSTIC_STREAM_BASE, diagnostic_stream
 from heatcurrents.sde import FieldState, identity, sample_field
@@ -260,6 +261,33 @@ def test_drift_after_long_run():
     cfg = default_config(p=16, m_max=3, n_steps=500, seed=9)
     state = sample_field(cfg)
     assert drift_report(state).passed
+
+
+def test_jacobi_residuals_match_extended_bracket():
+    # the shared triple loop equals the cyclic sum of nested extended
+    # brackets, both components bit for bit, and draws exactly 3 fields
+    # per triple from its stream
+    lie = build_basis(2)
+    basis = build_spectrum(1, 64, 10)
+    grid = basis.grid
+    zero = np.zeros(grid.dim * lie.dim)
+    ref = diagnostic_stream(5, 33)
+    field_ref = central_ref = 0.0
+    for _ in range(3):
+        e0, e1, e2 = ((random_band_limited(basis, lie, ref), zero) for _ in range(3))
+        terms = [
+            extended_bracket(grid, lie, extended_bracket(grid, lie, x, y), z)
+            for x, y, z in ((e0, e1, e2), (e1, e2, e0), (e2, e0, e1))
+        ]
+        f_total = terms[0][0] + terms[1][0] + terms[2][0]
+        c_total = terms[0][1] + terms[1][1] + terms[2][1]
+        field_ref = max(field_ref, float(np.max(np.abs(f_total))))
+        central_ref = max(central_ref, float(np.max(np.abs(c_total))))
+
+    stream = diagnostic_stream(5, 33)
+    assert diagnostics._jacobi_residuals(lie, stream, 3) == (field_ref, central_ref)
+    assert 0.0 < central_ref < 1e-9
+    assert np.array_equal(stream.normal(size=4), ref.normal(size=4))
 
 
 def test_run_check_unknown_name():
