@@ -236,8 +236,8 @@ def _load_field(path: str) -> np.ndarray:
         raise ValueError(f"{path}: expected a .npy array, got {type(c).__name__}")
     if c.ndim < 2:
         raise ValueError(f"{path}: expected a (*grid, dim_g) array, got shape {c.shape}")
-    if np.iscomplexobj(c):
-        raise ValueError(f"{path}: su(n) coefficients are real, got dtype {c.dtype}")
+    if c.dtype.kind not in "biuf":
+        raise ValueError(f"{path}: su(n) coefficients are real numbers, got dtype {c.dtype}")
     c = np.asarray(c, dtype=float)
     if not np.isfinite(c).all():
         raise ValueError(f"{path}: algebra field contains non-finite entries")

@@ -55,8 +55,11 @@ def substream(root_seed: int, stream_id: int) -> RngStream:
 
 
 # Diagnostics draw from stream ids offset far above ensemble sample indices
-# (samples use ids 0..n_samples-1), so a verify run never shares a stream
-# with the data it checks.
+# (samples use ids 0..n_samples-1), so their own draws stay apart from the
+# data.  Two checks re-draw shipped streams on purpose: `drift` flows
+# `sample_field`'s default substream(seed, 0), ensemble sample 0, and `haar`
+# draws from substream(seed, 0) and substream(seed, EXTENSION_CENTRAL_STREAM),
+# `extend` sample 0's field and fiber streams.
 DIAGNOSTIC_STREAM_BASE = 1 << 32
 
 

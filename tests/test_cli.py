@@ -438,6 +438,12 @@ def _circle_pair():
     )
 
 
+def _structured(c):
+    s = np.empty(c.shape, dtype=[("a", float)])
+    s["a"] = c
+    return s
+
+
 def _with_nan(c):
     c = c.copy()
     c[5, 1] = np.nan
@@ -453,6 +459,14 @@ def _with_nan(c):
         # finite inputs whose pairing overflows: the class must not reach stdout
         pytest.param(lambda c: 1e200 * c, "must be finite", id="overflow"),
         pytest.param(lambda c: {"eta": c}, "expected a .npy array", id="npz"),
+        # numpy casts these to float silently: only numeric kinds are fields
+        pytest.param(lambda c: np.full(c.shape, "1.5"), "real numbers, got dtype <U3", id="str"),
+        pytest.param(_structured, "real numbers, got dtype [('a', '<f8')]", id="structured"),
+        pytest.param(
+            lambda c: np.zeros(c.shape, "datetime64[s]"),
+            "real numbers, got dtype datetime64[s]",
+            id="datetime",
+        ),
     ],
 )
 def test_cocycle_rejects_bad_input(tmp_path, capsys, transform, message):
@@ -643,15 +657,24 @@ def test_every_exported_name_resolves():
 
 def test_import_path_loads_no_scipy():
     # scipy.stats costs over a second and tens of MB to import; the package,
-    # its command line and the cocycle check must not pull scipy in
-    code = (
-        "import sys, heatcurrents, heatcurrents.cli\n"
+    # its command line, the cocycle check and the Haar check must not pull
+    # scipy in.  With scipy installed, any import of it, optional or not,
+    # leaves a module in sys.modules.
+    checks = (
+        "import heatcurrents, heatcurrents.cli\n"
         "heatcurrents.run_check('cocycle', n_samples=2)\n"
+        "heatcurrents.run_check('haar', n_samples=500)\n"
+    )
+    code = "import sys\n" + checks + (
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     proc = launch([sys.executable, "-c", code])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.decode().strip() == "[]"
+    # the same run where scipy is not installed: a None entry in sys.modules
+    # makes every scipy import raise ImportError
+    blocked = launch([sys.executable, "-c", "import sys\nsys.modules['scipy'] = None\n" + checks])
+    assert blocked.returncode == 0, blocked.stderr
 
 
 def test_console_script_targets_module_entry_point():

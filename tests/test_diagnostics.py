@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import kstest, kstwo
 
 from heatcurrents import diagnostics
 from heatcurrents.brownian import CovarianceSpec, covariance_kernel, pointwise_variance
@@ -16,6 +17,7 @@ from heatcurrents.diagnostics import (
     default_config,
     drift_report,
     fd_variance_target,
+    ks_uniform,
     make_report,
     one_sided_report,
     random_band_limited,
@@ -288,6 +290,33 @@ def test_jacobi_residuals_match_extended_bracket():
     assert diagnostics._jacobi_residuals(lie, stream, 3) == (field_ref, central_ref)
     assert 0.0 < central_ref < 1e-9
     assert np.array_equal(stream.normal(size=4), ref.normal(size=4))
+
+
+@pytest.mark.parametrize("n", [2, 50, 10_000])
+def test_ks_uniform_statistic_matches_scipy(n):
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        x = rng.random(n)
+        assert ks_uniform(x)[0] == kstest(x, "uniform").statistic
+
+
+@pytest.mark.parametrize("n", [1000, 10_000])
+def test_ks_uniform_pvalue_matches_kolmogorov_law(n):
+    # tolerance against the exact finite-n law: absolute 5e-3 everywhere,
+    # relative 3% where the exact p lies in (1e-4, 0.05).  The sample
+    # s * (i - 1/2) / n has D = 1 - s * (1 - 1/(2n)), so D runs from 1/(2n)
+    # (s = 1) to where the exact p is 1e-4.  The first point is the evenly
+    # spaced sample: exact p = 1, where the alternating series alone gives
+    # p = 0.397 at n = 10 000.
+    i = np.arange(1, n + 1)
+    d_targets = np.linspace(1 / (2 * n), kstwo.isf(1e-4, n), 400)
+    for d_target in d_targets:
+        s = (1 - d_target) / (1 - 1 / (2 * n))
+        d, p = ks_uniform(s * (i - 0.5) / n)
+        exact = kstwo.sf(d, n)
+        assert abs(p - exact) <= 5e-3, (d, p, exact)
+        if 1e-4 < exact < 0.05:
+            assert abs(p - exact) <= 0.03 * exact, (d, p, exact)
 
 
 def test_run_check_unknown_name():
