@@ -3,8 +3,7 @@ evaluation, and extended sampling.
 
 Configuration precedence is defaults < --config JSON < explicit flags.
 All outputs are deterministic functions of the resolved configuration:
-ensembles use one substream per sample index, so thread counts change
-scheduling but never bytes.
+ensembles use one substream per sample index.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ _OPTIONS = {
     "samples": ("--samples", int, 1, "number of samples"),
     "seed": ("--seed", int, 0, "root seed"),
     "stream_id": ("--stream-id", int, 0, "RNG substream id (default 0)"),
-    "workers": ("--workers", int, 1, "threads running sample blocks (bytes do not change)"),
+    "workers": ("--workers", int, 1, "must be 1: ensembles run on one thread"),
     "out": ("--out", str, None, "output path stem"),
     "lattice": (None, None, None, None),
 }
@@ -206,9 +205,13 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 def _cmd_ensemble(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
+    if cfg["workers"] != 1:
+        raise ValueError(
+            f"--workers must be 1, got {cfg['workers']}: ensembles run on one thread"
+        )
     out = _require_out(cfg)
     sde_cfg = _make_sde_config(cfg)
-    mats = sample_ensemble(sde_cfg, cfg["samples"], n_workers=cfg["workers"])
+    mats = sample_ensemble(sde_cfg, cfg["samples"])
     manifest = _manifest(cfg, cfg["samples"])
     write_ensemble(out, manifest, mats)
     print(f"wrote {out}.json and {out}.f64le")
@@ -301,7 +304,7 @@ def run_cli(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, KeyError, OSError, StorageError) as exc:
+    except (ValueError, KeyError, OSError, MemoryError, StorageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -322,7 +322,6 @@ def weak_order_test(
     n_levels: int = 4,
     *,
     n_samples: int,
-    stream: RngStream | None = None,
 ) -> StatReport:
     """Log-log slope of the character bias vs step size, via level differences.
 
@@ -334,11 +333,9 @@ def weak_order_test(
     """
     if cfg.spec.lie.n != 2:
         raise ValueError("character observable requires SU(2)")
-    if stream is None:
-        stream = diagnostic_stream(cfg.seed, 2)
 
     diffs = _ladder(
-        cfg, n_levels, n_samples, stream,
+        cfg, n_levels, n_samples, diagnostic_stream(cfg.seed, 2),
         lambda c, f: np.real(c[:, 0, 0] + c[:, 1, 1]) - np.real(f[:, 0, 0] + f[:, 1, 1]),
     )
     mean_d = diffs.mean(axis=1)
@@ -365,18 +362,14 @@ def strong_convergence_test(
     n_levels: int = 5,
     *,
     n_samples: int,
-    stream: RngStream | None = None,
 ) -> StatReport:
     """Rate exponent of pathwise differences on weak_order_test's ladder.
 
     RMS ||g^(l) - g^(l+1)||_F over samples scales like h_l^rho with rho =
     1/2 for this scheme; reports the fitted rho with band [0.4, 0.6].
     """
-    if stream is None:
-        stream = diagnostic_stream(cfg.seed, 3)
-
     sq = _ladder(
-        cfg, n_levels, n_samples, stream,
+        cfg, n_levels, n_samples, diagnostic_stream(cfg.seed, 3),
         lambda c, f: np.sum(np.abs(c - f) ** 2, axis=(-2, -1)),
     )
     mean_sq = sq.mean(axis=1)

@@ -22,11 +22,18 @@ Gaussian vector with covariance given by the kernel Gram matrix, so the
 restricted dynamics have exactly the law of the full-field restriction.
 The statistical tests lean on the second route for sample counts the full
 grid could not reach.
+
+Every sampler runs on the calling thread.  `sample_ensemble` flows its
+blocks in order, and each sample draws from its own stream, so the block
+size changes no byte.  Output is bit-equal for the same numpy build and
+CPU dispatch level.  Across dispatch levels, SU(3) fields of a 64-step
+ensemble were measured to differ by at most 2.7e-15, most likely through
+the vectorized cos/sin/arccos of the closed-form exp, while SU(2) fields
+and the Philox normals stayed bit-equal.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,40 +178,26 @@ def sample_field(cfg: SdeConfig, stream: RngStream | None = None) -> FieldState:
     return FieldState(grid=grid, mats=mats)
 
 
-def sample_ensemble(
-    cfg: SdeConfig, n_samples: int, n_workers: int = 1, first_stream: int = 0
-) -> np.ndarray:
+def sample_ensemble(cfg: SdeConfig, n_samples: int, first_stream: int = 0) -> np.ndarray:
     """n_samples independent terminal fields, (n_samples, *grid.shape, n, n).
 
     Sample i draws from substream(seed, first_stream + i).  Samples flow
-    in blocks of max(1, CHUNK // n_points), each block as one batch;
-    `n_workers` threads run blocks concurrently.  Every sample's
-    noise comes from its own stream and is synthesized column by column,
-    so sample i equals `sample_field` on substream(seed, first_stream + i)
-    bit for bit, whatever the block size or the worker count.
+    in order, in blocks of max(1, CHUNK // n_points), each block as one
+    batch.  Every sample's noise comes from its own stream and is
+    synthesized column by column, so sample i equals `sample_field` on
+    substream(seed, first_stream + i) bit for bit, whatever the block size.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    if n_workers < 1:
-        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
     grid = cfg.spec.basis.grid
     n = cfg.spec.lie.n
     block = max(1, CHUNK // grid.n_points)
     out = np.empty((n_samples,) + grid.shape + (n, n), dtype=complex)
-
-    def run_block(lo: int) -> None:
+    for lo in range(0, n_samples, block):
         hi = min(lo + block, n_samples)
         streams = [substream(cfg.seed, first_stream + i) for i in range(lo, hi)]
         g0 = identity(grid.shape + (hi - lo,), n)
         out[lo:hi] = np.moveaxis(_flow_field(cfg, streams, g0), grid.dim, 0)
-
-    starts = range(0, n_samples, block)
-    if n_workers == 1:  # no thread: a worker thread's stack and arena cost ~1 MB RSS
-        for lo in starts:
-            run_block(lo)
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(run_block, starts))  # reading each result re-raises its error
     return out
 
 

@@ -124,11 +124,10 @@ def test_regularity_probe():
 
 def test_reproducibility(tmp_path, capsys):
     # byte-identical manifests, payloads and verify reports across reruns
-    # and worker counts
     argv = ["ensemble", "--grid", "16", "--modes", "3", "--steps", "8",
             "--samples", "4", "--seed", "11"]
-    assert run_cli(argv + ["--workers", "1", "--out", str(tmp_path / "a")]) == 0
-    assert run_cli(argv + ["--workers", "4", "--out", str(tmp_path / "b")]) == 0
+    assert run_cli(argv + ["--out", str(tmp_path / "a")]) == 0
+    assert run_cli(argv + ["--out", str(tmp_path / "b")]) == 0
     payload_same = (
         (tmp_path / "a.f64le").read_bytes() == (tmp_path / "b.f64le").read_bytes()
     )
@@ -137,7 +136,7 @@ def test_reproducibility(tmp_path, capsys):
     )
 
     cfg = default_config(p=16, m_max=3, n_steps=8, seed=11)
-    direct = sample_ensemble(cfg, 4, n_workers=2)
+    direct = sample_ensemble(cfg, 4)
     _, loaded = read_ensemble(tmp_path / "a")
     library_same = np.array_equal(direct, loaded)
 

@@ -58,11 +58,23 @@ def test_sample_reproducible(tmp_path, capsys):
 
 
 def test_ensemble_worker_independent_bytes(tmp_path, capsys):
+    # --workers accepts only 1, which writes the same bytes as no flag
     base = ["ensemble", "--grid", "16", "--modes", "3", "--steps", "4", "--samples", "4"]
     rc1, _, _ = run(base + ["--workers", "1", "--out", str(tmp_path / "w1")], capsys)
-    rc3, _, _ = run(base + ["--workers", "3", "--out", str(tmp_path / "w3")], capsys)
-    assert rc1 == rc3 == 0
-    assert (tmp_path / "w1.f64le").read_bytes() == (tmp_path / "w3.f64le").read_bytes()
+    rc0, _, _ = run(base + ["--out", str(tmp_path / "plain")], capsys)
+    assert rc1 == rc0 == 0
+    for suffix in (".f64le", ".json"):
+        w1 = (tmp_path / ("w1" + suffix)).read_bytes()
+        assert w1 == (tmp_path / ("plain" + suffix)).read_bytes()
+    written = set(tmp_path.iterdir())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"workers": 2}))
+    for extra in (["--workers", "0"], ["--workers", "-3"], ["--workers", "2"],
+                  ["--config", str(cfg)]):
+        rc, out, err = run(base + extra + ["--out", str(tmp_path / "bad")], capsys)
+        assert rc == 1, extra
+        assert out == "" and err.startswith("error:") and "--workers must be 1" in err
+    assert set(tmp_path.iterdir()) == written | {cfg}
 
 
 def test_ensemble_equals_indexed_samples(tmp_path, capsys):
@@ -195,13 +207,21 @@ def test_counts_below_one_rejected(tmp_path, capsys):
     for argv in (
         ["verify", "--check", "haar", "--samples", "0"],
         ["verify", "--check", "drift", "--samples", "-1"],
-        ["ensemble", *small, "--workers", "0", "--out", str(tmp_path / "w0")],
-        ["ensemble", *small, "--workers", "-3", "--out", str(tmp_path / "w3")],
         ["extend", *small, "--samples", "0", "--out", str(tmp_path / "e0")],
     ):
         rc, out, err = run(argv, capsys)
         assert rc == 1, argv
         assert out == "" and err.startswith("error:") and "must be >= 1" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["ensemble", "extend"])
+def test_failed_allocation_is_an_error_line(tmp_path, capsys, command):
+    # 10**15 d=1 fields need 3.55 EiB, more than any 64-bit address space
+    argv = [command, "--samples", str(10**15), "--out", str(tmp_path / "big")]
+    rc, out, err = run(argv, capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith("error: Unable to allocate") and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from heatcurrents import sde
+from heatcurrents import diagnostics, sde
 from heatcurrents.brownian import CovarianceSpec, covariance_kernel, pointwise_variance
 from heatcurrents.diagnostics import default_config, strong_convergence_test, weak_order_test
 from heatcurrents.lie import build_basis, exp_batch
@@ -120,25 +120,17 @@ def test_ensemble_matches_single_stream():
         assert np.array_equal(mats[i], direct.mats)
 
 
-def test_ensemble_worker_count_irrelevant():
-    cfg = make_cfg(seed=6)
-    serial = sample_ensemble(cfg, n_samples=6, n_workers=1)
-    pooled = sample_ensemble(cfg, n_samples=6, n_workers=3)
-    assert np.array_equal(serial, pooled)
-
-
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("d,p", [(1, 16), (2, 8)])
-def test_ensemble_bytes_independent_of_blocks_and_workers(monkeypatch, n, d, p):
+def test_ensemble_bytes_independent_of_blocks(monkeypatch, n, d, p):
     cfg = make_cfg(p=p, d=d, n_steps=4, seed=12, n=n)
     firsts = (0, 5)
     one_block = {s: sample_ensemble(cfg, 7, first_stream=s).tobytes() for s in firsts}
     # CHUNK of 2 fields gives blocks of 2, 2, 2, 1 samples
     monkeypatch.setattr(sde, "CHUNK", 2 * p**d)
     for s in firsts:
-        for workers in (1, 2, 3):
-            mats = sample_ensemble(cfg, 7, n_workers=workers, first_stream=s)
-            assert mats.tobytes() == one_block[s]
+        mats = sample_ensemble(cfg, 7, first_stream=s)
+        assert mats.tobytes() == one_block[s]
         for i in range(7):
             direct = sample_field(cfg, stream=substream(12, s + i))
             assert mats[i].tobytes() == direct.mats.tobytes()
@@ -148,9 +140,6 @@ def test_ensemble_rejects_bad_counts():
     cfg = make_cfg()
     with pytest.raises(ValueError):
         sample_ensemble(cfg, n_samples=0)
-    for workers in (0, -3):
-        with pytest.raises(ValueError, match="n_workers"):
-            sample_ensemble(cfg, n_samples=2, n_workers=workers)
 
 
 def test_drift_small_after_many_steps():
@@ -295,10 +284,11 @@ def test_nan_increment_aborts_marginal():
 
 
 @pytest.mark.parametrize("test", [weak_order_test, strong_convergence_test])
-def test_nan_increment_aborts_ladder(test):
+def test_nan_increment_aborts_ladder(monkeypatch, test):
     # one fine draw (8 steps) per sample; the NaN sits in fine step 5 of
     # sample 0, which the coarsest level (2 steps of 4) meets at step 2
     cfg = make_cfg()
     stream = PoisonedStream(1, index=5 * 3)
+    monkeypatch.setattr(diagnostics, "diagnostic_stream", lambda seed, slot: stream)
     with pytest.raises(FloatingPointError, match="step 2/2"):
-        test(cfg, n_levels=3, n_samples=10, stream=stream)
+        test(cfg, n_levels=3, n_samples=10)
