@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -176,6 +177,9 @@ def _require_out(cfg: dict) -> str:
     out = cfg.get("out")
     if not out:
         raise ValueError("--out is required for this subcommand")
+    # a stem with no file name would write hidden files such as `runs/.json`
+    if os.path.basename(out) in ("", ".", ".."):
+        raise ValueError(f"--out {out!r} names no file: give a file stem such as runs/ens")
     return out
 
 

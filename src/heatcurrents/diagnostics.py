@@ -13,8 +13,9 @@ The identity checks (`cocycle_suite`, the Jacobi part of `haar_suite`)
 must hold to round-off on band-limited fields.  Pairings of two fields
 produce modes up to 2M and their spectral derivative needs 2M < P/2;
 triple products need 3M < P for exact grid means.  The generators stay
-well inside both.  `haar_suite` also tests Haar uniformity on the central
-torus and the independence of field and fiber.
+well inside both.  Their Jacobi sums nest the shipped `extended_bracket`.
+`haar_suite` also tests the Haar uniformity of the shipped `haar_sample`
+on the central torus and the independence of field and fiber.
 """
 
 from __future__ import annotations
@@ -25,8 +26,16 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .brownian import CovarianceSpec, covariance_kernel, synthesize
-from .extension import EXTENSION_CENTRAL_STREAM, cocycle, cocycle_scalars, leibniz_check
-from .lie import LieBasis, bracket_coeffs, build_basis, log_batch
+from .extension import (
+    EXTENSION_CENTRAL_STREAM,
+    LatticeSpec,
+    cocycle,
+    cocycle_scalars,
+    extended_bracket,
+    haar_sample,
+    leibniz_check,
+)
+from .lie import LieBasis, build_basis, log_batch
 from .lie import exp_batch  # noqa: F401  unused here; bench/spans.py traces this name
 from .rng import DIAGNOSTIC_STREAM_BASE, RngStream, diagnostic_stream, substream
 from .sde import CHUNK, FieldState, SdeConfig, flow, identity
@@ -529,25 +538,17 @@ def _jacobi_residuals(lie: LieBasis, stream: RngStream, n_triples: int) -> tuple
     = 0.  Triples reach 3M, so M = 10 at P = 64."""
     basis = build_spectrum(1, 64, 10)
     grid = basis.grid
+    zero = np.zeros(grid.dim * lie.dim)
     field_resid = 0.0
     central_resid = 0.0
     for _ in range(n_triples):
-        e0, e1, e2 = (random_band_limited(basis, lie, stream) for _ in range(3))
-        b01 = bracket_coeffs(lie, e0, e1)
-        b12 = bracket_coeffs(lie, e1, e2)
-        b20 = bracket_coeffs(lie, e2, e0)
-        f_total = (
-            bracket_coeffs(lie, b01, e2)
-            + bracket_coeffs(lie, b12, e0)
-            + bracket_coeffs(lie, b20, e1)
+        e0, e1, e2 = ((random_band_limited(basis, lie, stream), zero) for _ in range(3))
+        a, b, c = (
+            extended_bracket(grid, lie, extended_bracket(grid, lie, x, y), z)
+            for x, y, z in ((e0, e1, e2), (e1, e2, e0), (e2, e0, e1))
         )
-        c_total = (
-            cocycle(grid, lie, b01, e2)
-            + cocycle(grid, lie, b12, e0)
-            + cocycle(grid, lie, b20, e1)
-        )
-        field_resid = max(field_resid, float(np.max(np.abs(f_total))))
-        central_resid = max(central_resid, float(np.max(np.abs(c_total))))
+        field_resid = max(field_resid, float(np.max(np.abs(a[0] + b[0] + c[0]))))
+        central_resid = max(central_resid, float(np.max(np.abs(a[1] + b[1] + c[1]))))
     return field_resid, central_resid
 
 
@@ -638,18 +639,18 @@ def haar_suite(seed: int, n_samples: int) -> list:
     """
     reports = []
 
-    # per-coordinate Kolmogorov-Smirnov against uniform [0, 1): `haar_sample`
-    # on the rank-3 identity lattice is one uniform draw of 3 coordinates,
-    # so n_samples of them from one stream are one (n_samples, 3) draw
+    # per-coordinate Kolmogorov-Smirnov against uniform [0, 1) of the
+    # shipped fiber sampler on the rank-3 identity lattice
+    lattice = LatticeSpec.identity(3)
     stream = substream(seed, EXTENSION_CENTRAL_STREAM)
-    draws = stream.uniform(size=(n_samples, 3))
+    draws = np.stack([haar_sample(lattice, stream) for _ in range(n_samples)])
     min_p = min(ks_uniform(draws[:, j])[1] for j in range(3))
     reports.append(
         one_sided_report("haar_ks_min_pvalue", min_p, 0.01, 0.0, n_samples, "min")
     )
 
-    # independence of the field marginal and the central coordinates;
-    # same product construction as the extension sampler (disjoint streams)
+    # independence of the field marginal, drawn by `sample_marginal` on
+    # stream (seed, 0), and the central coordinates above
     cfg = default_config(n_steps=16, seed=seed)
     point = np.zeros((1, 1))
     mats = sample_marginal(cfg, point, n_samples, stream=substream(seed, 0))

@@ -62,8 +62,10 @@ class LatticeSpec:
         g = np.asarray(self.generators, dtype=float)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValueError(f"generators must be square, got shape {g.shape}")
-        det = np.linalg.det(g)
-        if not np.isfinite(det) or det == 0.0:
+        if not np.isfinite(g).all():
+            raise ValueError("lattice generators must be finite")
+        # the sign of slogdet, unlike det itself, neither overflows nor underflows
+        if np.linalg.slogdet(g).sign == 0:
             raise ValueError("lattice generators must be invertible")
         object.__setattr__(self, "generators", g)
 

@@ -574,6 +574,18 @@ def test_extend_custom_lattice(tmp_path, capsys):
     assert manifest.lattice == gens
 
 
+@pytest.mark.parametrize("scale", [1e308, 1e-200])
+def test_extend_accepts_a_lattice_whose_det_is_not_a_float(tmp_path, capsys, scale):
+    # det(1e308 I) overflows and det(1e-200 I) underflows; both are invertible
+    cfg = tmp_path / "cfg.json"
+    gens = (scale * np.eye(3)).tolist()
+    cfg.write_text(json.dumps({"lattice": gens, "grid": 16, "modes": 3, "steps": 2}))
+    rc, _, err = run(["extend", "--config", str(cfg), "--out", str(tmp_path / "ext")], capsys)
+    assert rc == 0, err
+    assert read_ensemble(tmp_path / "ext")[0].lattice == gens
+    assert (tmp_path / "ext.central.json").exists()
+
+
 def test_extend_failed_central_write_keeps_previous_trio(tmp_path, capsys, monkeypatch):
     common = ["extend", "--grid", "16", "--modes", "3", "--steps", "2", "--samples", "2"]
     common += ["--out", str(tmp_path / "e")]
@@ -595,6 +607,20 @@ def test_extend_failed_central_write_keeps_previous_trio(tmp_path, capsys, monke
     # no new file replaced an old one and no temp file is left behind
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
     assert read_ensemble(tmp_path / "e")[0].seed == 1
+
+
+@pytest.mark.parametrize("command", ["sample", "ensemble", "extend"])
+@pytest.mark.parametrize("stem", ["runs/", "runs/.", "runs/..", ".", ".."])
+def test_out_without_a_file_name_rejected(tmp_path, capsys, monkeypatch, command, stem):
+    # `runs/` would write `runs/.json`, and `.` would write `..json`
+    work = tmp_path / "up" / "work"
+    (work / "runs").mkdir(parents=True)
+    monkeypatch.chdir(work)
+    argv = [command, "--grid", "16", "--modes", "3", "--steps", "2", "--out", stem]
+    rc, out, err = run(argv, capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith("error: --out") and "names no file" in err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["runs", "up", "work"]
 
 
 def test_extend_lattice_shape_error(tmp_path, capsys):

@@ -211,12 +211,23 @@ def test_reduce_mod_lattice_homomorphism():
 
 
 def test_lattice_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="invertible"):
         LatticeSpec(generators=np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="invertible"):
+        LatticeSpec(generators=np.array([[1.0, 2.0], [2.0, 4.0]]))
+    with pytest.raises(ValueError, match="finite"):
+        LatticeSpec(generators=np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         LatticeSpec(generators=np.ones((2, 3)))
     with pytest.raises(ValueError):
         reduce_mod_lattice(np.zeros(3), LatticeSpec.identity(2))
+
+
+@pytest.mark.parametrize("scale", [1e308, 1e-200])
+def test_lattice_accepts_invertible_generators_whose_det_is_not_a_float(scale):
+    # det(scale * I) overflows to inf or underflows to 0; the lattice is invertible
+    lattice = LatticeSpec(generators=scale * np.eye(3))
+    assert np.allclose(reduce_mod_lattice(0.5 * scale * np.ones(3), lattice), 0.5)
 
 
 def test_haar_sample_uniform():
