@@ -178,9 +178,13 @@ def _require_out(cfg: dict) -> str:
     if not out:
         raise ValueError("--out is required for this subcommand")
     # a stem with no file name would write hidden files such as `runs/.json`
-    if os.path.basename(out) in ("", ".", ".."):
-        raise ValueError(f"--out {out!r} names no file: give a file stem such as runs/ens")
+    _check_names_a_file(out, "a file stem such as runs/ens")
     return out
+
+
+def _check_names_a_file(out: str, example: str) -> None:
+    if os.path.basename(out) in ("", ".", ".."):
+        raise ValueError(f"--out {out!r} names no file: give {example}")
 
 
 def _lattice_from_config(cfg: dict, rank: int) -> LatticeSpec:
@@ -224,6 +228,11 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
+    # the report path is checked before the checks run, which can take minutes
+    if cfg["out"]:
+        _check_names_a_file(cfg["out"], "a file name such as runs/verify.json")
+        if os.path.isdir(cfg["out"]):
+            raise ValueError(f"--out {cfg['out']!r} is a directory: give a file name")
     names = args.check or sorted(CHECK_NAMES)
     reports = []
     for name in names:

@@ -8,14 +8,16 @@ by 2i), orthonormal under the positive-definite pairing
 
 Group elements are plain n x n complex unitary matrices with unit
 determinant.  Everything here is pure and immutable; batched variants
-(`exp_batch`, `log_batch`) act on arrays with arbitrary leading shape and are
-the inner kernels of the field samplers.
+(`exp_batch`, `log_batch`, and the group product `multiply`) act on arrays
+with arbitrary leading shape and are the inner kernels of the field
+samplers.
 
 Each group gets the exponential its size allows: a closed Pauli form on
 SU(2), the closed Cayley-Hamilton form of Morningstar and Peardon on SU(3),
 and a Hermitian eigendecomposition for n >= 4.  The logarithm is closed
-form on SU(2) and one batched eigendecomposition for every n >= 3.  Only
-numpy is used.
+form on SU(2) and one batched eigendecomposition for every n >= 3.  The
+SU(2) product is the Hamilton product of unit quaternions in real
+arithmetic; n >= 3 uses the batched matrix product.  Only numpy is used.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ __all__ = [
     "killing_pair",
     "exp_batch",
     "log_batch",
+    "multiply",
     "coeffs_to_matrix",
     "matrix_to_coeffs",
 ]
@@ -160,6 +163,39 @@ def _exp_su2(coeffs: np.ndarray) -> np.ndarray:
     out[..., 0, 1] = -k * v2 - 1j * k * v1
     out[..., 1, 0] = k * v2 - 1j * k * v1
     out[..., 1, 1] = c + 1j * k * v3
+    return out
+
+
+def multiply(basis: LieBasis, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Group product g @ h, batched: (..., n, n) x (..., n, n) -> (..., n, n).
+
+    On SU(2) each factor is read as the unit quaternion of its first row,
+    g = [[p, q], [-conj q, conj p]] (p = a0 - i a3, q = -a2 - i a1 for
+    g = a0 I - i a.sigma, as in `_log_su2`), and the product is formed in
+    real arithmetic: 16 multiplies and 12 adds on the .real/.imag views,
+    then all four complex entries are written.  Elementwise real multiply
+    and add round the same way at every SIMD width, so the SU(2) result is
+    bit-equal across numpy's CPU dispatch levels; complex multiply and
+    matmul are not.  n >= 3 returns g @ h.
+    """
+    if basis.n != 2:
+        return g @ h
+    px, py = g[..., 0, 0].real, g[..., 0, 0].imag
+    qx, qy = g[..., 0, 1].real, g[..., 0, 1].imag
+    rx, ry = h[..., 0, 0].real, h[..., 0, 0].imag
+    sx, sy = h[..., 0, 1].real, h[..., 0, 1].imag
+    out = np.empty(np.broadcast_shapes(g.shape, h.shape), dtype=complex)
+    p, q = out[..., 0, 0], out[..., 0, 1]
+    # p' = p r - q conj(s), q' = p s + q conj(r)
+    p.real = px * rx - py * ry - qx * sx - qy * sy
+    p.imag = px * ry + py * rx - qy * sx + qx * sy
+    q.real = px * sx - py * sy + qx * rx + qy * ry
+    q.imag = px * sy + py * sx + qy * rx - qx * ry
+    # second row [-conj q', conj p']
+    out[..., 1, 0].real = -q.real
+    out[..., 1, 0].imag = q.imag
+    out[..., 1, 1].real = p.real
+    out[..., 1, 1].imag = -p.imag
     return out
 
 

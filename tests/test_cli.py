@@ -623,6 +623,20 @@ def test_out_without_a_file_name_rejected(tmp_path, capsys, monkeypatch, command
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["runs", "up", "work"]
 
 
+@pytest.mark.parametrize("out", ["runs", "runs/", "runs/.", "runs/..", ".", ".."])
+def test_verify_out_rejected_before_any_check_runs(tmp_path, capsys, monkeypatch, out):
+    # `runs` is an existing directory; the others name no file
+    work = tmp_path / "up" / "work"
+    (work / "runs").mkdir(parents=True)
+    monkeypatch.chdir(work)
+    ran = []
+    monkeypatch.setattr(cli, "run_check", lambda name, **kw: ran.append(name) or [])
+    rc, stdout, err = run(["verify", "--check", "cocycle", "--samples", "1", "--out", out], capsys)
+    assert rc == 1 and stdout == "" and ran == []
+    assert err.startswith("error: --out")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["runs", "up", "work"]
+
+
 def test_extend_lattice_shape_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"lattice": [[1.0, 0.0], [0.0, 1.0]]}))
@@ -664,13 +678,34 @@ def test_extend_rejects_malformed_lattice(tmp_path, capsys, lattice):
 DRIFT_ARGV = ["verify", "--check", "drift"]
 
 
-def launch(command):
+def launch(command, **extra_env):
     """Run `command` in a child process that imports the same `heatcurrents`
     sources as this test, whatever the working directory."""
-    env = dict(os.environ)
+    env = dict(os.environ, **extra_env)
     src = str(Path(heatcurrents.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(command, capture_output=True, timeout=120, env=env)
+
+
+def test_su2_ensemble_bytes_do_not_depend_on_cpu_dispatch(tmp_path):
+    # numpy's complex multiply rounds differently below its X86_V3 kernels;
+    # the SU(2) exp and product use real elementwise arithmetic only, which
+    # rounds the same at every dispatch level
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__
+    argv = [sys.executable, "-m", "heatcurrents", "ensemble", "--grid", "16",
+            "--modes", "3", "--steps", "64", "--samples", "4", "--out"]
+    native = launch([*argv, str(tmp_path / "native")])
+    lowered = launch(
+        [*argv, str(tmp_path / "baseline")],
+        NPY_DISABLE_CPU_FEATURES=" ".join(__cpu_dispatch__),
+    )
+    assert native.returncode == 0, native.stderr
+    assert lowered.returncode == 0, lowered.stderr
+    payload = (tmp_path / "native.f64le").read_bytes()
+    assert payload == (tmp_path / "baseline.f64le").read_bytes()
 
 
 def test_console_script_runs():

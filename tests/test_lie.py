@@ -14,6 +14,7 @@ from heatcurrents.lie import (
     killing_pair,
     log_batch,
     matrix_to_coeffs,
+    multiply,
 )
 from heatcurrents.sde import FieldState
 from heatcurrents.torus import build_grid
@@ -319,6 +320,32 @@ def test_su3_log_past_the_cut_is_central_multiple(phase, phase2, seed):
     if (phase, phase2) == (4.0, -2.0):
         # 4 wraps to 4 - 2 pi and the others stay: omega = exp(2 pi i / 3)
         assert abs(omega - np.exp(2j * np.pi / 3)) < 1e-10
+
+
+def test_su2_multiply_matches_matmul():
+    b = build_basis(2)
+    rng = np.random.default_rng(11)
+    g = exp_batch(b, rng.normal(size=(16, 32, 3)) * 3.0)
+    h = exp_batch(b, rng.normal(size=(16, 32, 3)) * 3.0)
+    prod = multiply(b, g, h)
+    assert prod.shape == (16, 32, 2, 2)
+    assert np.abs(prod - g @ h).max() < 1e-15
+    # exact at the identity, on either side
+    eye = np.broadcast_to(np.eye(2, dtype=complex), g.shape)
+    assert np.array_equal(multiply(b, g, eye), g)
+    assert np.array_equal(multiply(b, eye, h), h)
+    # elementwise: one column at a time gives the same bits as the batch
+    for j in range(g.shape[1]):
+        assert np.array_equal(multiply(b, g[:, j], h[:, j]), prod[:, j])
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_multiply_is_matmul_past_su2(n):
+    b = build_basis(n)
+    rng = np.random.default_rng(n)
+    g = exp_batch(b, rng.normal(size=(5, b.dim)))
+    h = exp_batch(b, rng.normal(size=(5, b.dim)))
+    assert np.array_equal(multiply(b, g, h), g @ h)
 
 
 def test_coeff_matrix_round_trip():

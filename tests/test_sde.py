@@ -8,7 +8,7 @@ import pytest
 from heatcurrents import diagnostics, sde
 from heatcurrents.brownian import CovarianceSpec, covariance_kernel, pointwise_variance
 from heatcurrents.diagnostics import default_config, strong_convergence_test, weak_order_test
-from heatcurrents.lie import build_basis, exp_batch
+from heatcurrents.lie import build_basis, exp_batch, multiply
 from heatcurrents.rng import substream
 from heatcurrents.sde import (
     FieldState,
@@ -271,10 +271,14 @@ def test_flow_matches_stepwise_products():
     rng = np.random.default_rng(4)
     incr = rng.normal(size=(3, 6, 3))
     g0 = np.broadcast_to(np.eye(2, dtype=complex), (6, 2, 2))
-    want = g0
+    want, matmul = g0, g0
     for i in range(3):
-        want = want @ exp_batch(LIE2, incr[i])
-    assert np.array_equal(flow(LIE2, g0, 3, lambda i: incr[i]), want)
+        want = multiply(LIE2, want, exp_batch(LIE2, incr[i]))
+        matmul = matmul @ exp_batch(LIE2, incr[i])
+    got = flow(LIE2, g0, 3, lambda i: incr[i])
+    assert np.array_equal(got, want)
+    # the quaternion product rounds differently from the complex matmul
+    assert np.abs(got - matmul).max() < 1e-14
 
 
 def test_nan_increment_aborts_marginal():
